@@ -86,7 +86,6 @@ std::vector<dbscan::LocalClusterResult> make_topology(
         }
       }
     }
-    locals[p].seed_edges = dbscan::flatten_seed_edges(locals[p]);
   }
   return locals;
 }

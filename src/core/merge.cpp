@@ -181,7 +181,6 @@ void merge_sequential(const std::vector<LocalClusterResult>& locals,
           // also assigns such points to one adjacent cluster arbitrarily).
         }
       }
-      result->stats.edges_emitted = result->stats.seeds_examined;
       break;
     }
   }
@@ -225,15 +224,9 @@ void merge_sequential(const std::vector<LocalClusterResult>& locals,
 void merge_parallel_union_find(const std::vector<LocalClusterResult>& locals,
                                const std::vector<const PartialCluster*>& pcs,
                                u64 num_points, unsigned threads,
-                               ThreadPool* external_pool,
                                MergeResult* result) {
   const size_t m = pcs.size();
-
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (external_pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(threads);
-  }
-  ThreadPool& pool = external_pool != nullptr ? *external_pool : *owned_pool;
+  ThreadPool pool(threads);
 
   auto wait_all = [](std::vector<std::future<void>>& fs) {
     for (auto& f : fs) f.get();
@@ -242,19 +235,18 @@ void merge_parallel_union_find(const std::vector<LocalClusterResult>& locals,
 
   // --- Stage 1: point tables + edge gather (one barrier, disjoint writes).
   // member_of[p] = uid-sorted index of the surviving cluster claiming p;
-  // is_core[p] from the owner partition's core list. The edge array is
-  // assembled from each result's flat seed_edges record into precomputed
-  // per-cluster slices, so the slot of every edge — and therefore the whole
-  // downstream order — is a function of (cluster uid, seed position) alone,
-  // never of which worker or which arrival order produced it.
+  // is_core[p] from the owner partition's core list. Cluster i's seeds fill
+  // the precomputed slice edges[edge_offset[i] ..], so the slot of every
+  // edge — and therefore the whole downstream order — is a function of
+  // (cluster uid, seed position) alone, never of which worker or which
+  // arrival order produced it. Clusters dropped by the small-cluster filter
+  // are not in `pcs`, so their seeds are never examined, matching the
+  // sequential path.
   std::vector<i64> member_of(num_points, kNone);
   std::vector<char> is_core(num_points, 0);
 
-  std::unordered_map<u64, u32> uid_index;
-  uid_index.reserve(m * 2);
   std::vector<size_t> edge_offset(m + 1, 0);
   for (size_t i = 0; i < m; ++i) {
-    uid_index.emplace(pcs[i]->uid, static_cast<u32>(i));
     edge_offset[i + 1] = edge_offset[i] + pcs[i]->seeds.size();
   }
   const size_t num_edges = edge_offset[m];
@@ -272,6 +264,10 @@ void merge_parallel_union_find(const std::vector<LocalClusterResult>& locals,
         for (const PointId p : pcs[i]->members) {
           member_of[static_cast<size_t>(p)] = static_cast<i64>(i);
         }
+        const auto& seeds = pcs[i]->seeds;
+        for (size_t k = 0; k < seeds.size(); ++k) {
+          edges[edge_offset[i] + k] = {static_cast<u32>(i), seeds[k]};
+        }
       }
     }));
   }
@@ -279,36 +275,6 @@ void merge_parallel_union_find(const std::vector<LocalClusterResult>& locals,
     futures.push_back(pool.submit([&, local = &local] {
       for (const PointId p : local->core_points) {
         is_core[static_cast<size_t>(p)] = 1;
-      }
-      // The flat wire record when it is present and structurally sound
-      // (local_dbscan and both codecs maintain it); hand-built fixtures
-      // fall back to flattening the nested lists.
-      const bool consistent = seed_edges_consistent(*local);
-      const std::vector<SeedEdge> flattened =
-          consistent ? std::vector<SeedEdge>{} : flatten_seed_edges(*local);
-      const std::vector<SeedEdge>& src =
-          consistent ? local->seed_edges : flattened;
-      // Edges of one cluster are contiguous in `src`; cache the uid lookup
-      // across the run. bad_uid marks a run whose origin did not survive
-      // the small-cluster filter (those edges are dropped, matching the
-      // sequential path which never examines filtered clusters' seeds).
-      u32 idx = 0;
-      size_t cursor = 0;
-      u64 run_uid = 0;
-      bool have_run = false, bad_uid = false;
-      for (const SeedEdge& e : src) {
-        if (!have_run || e.origin_uid != run_uid) {
-          have_run = true;
-          run_uid = e.origin_uid;
-          const auto it = uid_index.find(e.origin_uid);
-          bad_uid = it == uid_index.end();
-          if (!bad_uid) {
-            idx = it->second;
-            cursor = edge_offset[idx];
-          }
-        }
-        if (bad_uid) continue;
-        edges[cursor++] = ResolvedEdge{idx, e.seed};
       }
     }));
   }
@@ -356,7 +322,6 @@ void merge_parallel_union_find(const std::vector<LocalClusterResult>& locals,
     result->stats.merges += chunk_merges[c];
   }
   result->stats.seeds_examined = num_edges;
-  result->stats.edges_emitted = num_edges;
   result->stats.rounds = num_chunks;
   result->stats.cas_retries = cuf.cas_retries();
 
@@ -431,8 +396,7 @@ MergeResult merge_partial_clusters(
   if (threads <= 1) {
     merge_sequential(locals, pre.pcs, num_points, options, &result);
   } else {
-    merge_parallel_union_find(locals, pre.pcs, num_points, threads,
-                              options.pool, &result);
+    merge_parallel_union_find(locals, pre.pcs, num_points, threads, &result);
   }
   return result;
 }

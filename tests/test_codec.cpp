@@ -108,9 +108,12 @@ TEST(Codec, ChargesCodecBytes) {
 }
 
 TEST(Codec, CompactTrailingGarbageAborts) {
-  std::string bytes = encode(sample_result(), Codec::kCompact);
-  bytes += '\0';
-  EXPECT_DEATH(decode(bytes, Codec::kCompact), "trailing");
+  // Both decoders must consume the whole blob.
+  for (const Codec codec : {Codec::kRaw, Codec::kCompact}) {
+    std::string bytes = encode(sample_result(), codec);
+    bytes += '\0';
+    EXPECT_DEATH(decode(bytes, codec), "trailing") << codec_name(codec);
+  }
 }
 
 TEST(Codec, SparkPipelineEquivalentUnderBothCodecs) {

@@ -8,8 +8,9 @@
 //
 // Fixtures come from three sources: a randomized generator sweeping
 // partitions x chain depth x core/border mixes x duplicate seeds x the
-// small-cluster filter; the real local_dbscan pipeline on gaussian data; and
-// the two documented Algorithm-4 soundness-gap fixtures as regressions.
+// small-cluster filter; the real executor kernels (local_dbscan on gaussian
+// data, local_knn_dbscan on a d=64 embedding); and the two documented
+// Algorithm-4 soundness-gap fixtures as regressions.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/local_dbscan.hpp"
 #include "core/merge.hpp"
 #include "core/partitioners.hpp"
+#include "knn/knn_backend.hpp"
 #include "spatial/kd_tree.hpp"
 #include "synth/generators.hpp"
 #include "util/rng.hpp"
@@ -153,7 +155,6 @@ void expect_identical(const MergeResult& a, const MergeResult& b,
             b.stats.filtered_partial_clusters)
       << what;
   EXPECT_EQ(a.stats.seeds_examined, b.stats.seeds_examined) << what;
-  EXPECT_EQ(a.stats.edges_emitted, b.stats.edges_emitted) << what;
   EXPECT_EQ(a.stats.merges, b.stats.merges) << what;
   EXPECT_EQ(a.stats.border_claims, b.stats.border_claims) << what;
 }
@@ -205,51 +206,77 @@ TEST(MergeEquivalence, FuzzParallelMatchesSequentialByteForByte) {
   EXPECT_EQ(cells, 4u * 2 * 2 * 2 * 2 * 3);
 }
 
-TEST(MergeEquivalence, RealPipelineParallelMatchesSequential) {
-  Rng data_rng(321);
-  synth::GaussianMixtureConfig gcfg;
-  gcfg.n = 600;
-  gcfg.dim = 2;
-  gcfg.clusters = 4;
-  gcfg.sigma = 0.4;
-  gcfg.noise_fraction = 0.08;
-  gcfg.box_side = 35.0;
-  const PointSet ps = synth::gaussian_clusters(gcfg, data_rng);
-  const DbscanParams params{0.8, 5};
-  const KdTree tree(ps);
-
-  constexpr u32 kPartitions = 6;
-  const Partitioning partitioning =
-      make_partitioning(PartitionerKind::kBlock, ps, kPartitions, 77);
-  LocalDbscanConfig local_cfg;
-  local_cfg.params = params;
-  local_cfg.seed_strategy = SeedStrategy::kAllForeign;
-  std::vector<LocalClusterResult> locals;
-  for (u32 p = 0; p < kPartitions; ++p) {
-    locals.push_back(local_dbscan(ps, tree, partitioning,
-                                  static_cast<PartitionId>(p), local_cfg));
-    // local_dbscan maintains the flat wire view, so the parallel gather
-    // takes the zero-copy seed_edges path on this fixture.
-    EXPECT_TRUE(seed_edges_consistent(locals.back()));
-  }
-
-  const auto baseline = run_merge(locals, ps.size(), 1);
-  EXPECT_GT(baseline.clustering.num_clusters, 0u);
-  EXPECT_GT(baseline.stats.merges, 0u);
+/// The merge of real executor output must match the sequential merge of the
+/// same output at every thread count, both directly and after each codec's
+/// wire round trip.
+void expect_parallel_matches_sequential(
+    const std::vector<LocalClusterResult>& locals, u64 num_points,
+    const std::string& what) {
+  const auto baseline = run_merge(locals, num_points, 1);
+  EXPECT_GT(baseline.clustering.num_clusters, 0u) << what;
+  EXPECT_GT(baseline.stats.merges, 0u) << what;
   for (const unsigned threads : {2u, 4u, 0u}) {
-    expect_identical(baseline, run_merge(locals, ps.size(), threads),
-                     "threads=" + std::to_string(threads));
+    expect_identical(baseline, run_merge(locals, num_points, threads),
+                     what + " threads=" + std::to_string(threads));
   }
-  // And through each codec's v2 wire round-trip.
   for (const Codec codec : {Codec::kRaw, Codec::kCompact}) {
     std::vector<LocalClusterResult> decoded;
     for (const auto& local : locals) {
       decoded.push_back(decode(encode(local, codec), codec));
-      EXPECT_TRUE(seed_edges_consistent(decoded.back()));
     }
-    expect_identical(run_merge(decoded, ps.size(), 1),
-                     run_merge(decoded, ps.size(), 4),
-                     std::string("codec=") + codec_name(codec));
+    for (const unsigned threads : {1u, 2u, 4u, 0u}) {
+      expect_identical(baseline, run_merge(decoded, num_points, threads),
+                       what + " codec=" + codec_name(codec) +
+                           " threads=" + std::to_string(threads));
+    }
+  }
+}
+
+TEST(MergeEquivalence, RealPipelineParallelMatchesSequential) {
+  constexpr u32 kPartitions = 6;
+  {
+    Rng data_rng(321);
+    synth::GaussianMixtureConfig gcfg;
+    gcfg.n = 600;
+    gcfg.dim = 2;
+    gcfg.clusters = 4;
+    gcfg.sigma = 0.4;
+    gcfg.noise_fraction = 0.08;
+    gcfg.box_side = 35.0;
+    const PointSet ps = synth::gaussian_clusters(gcfg, data_rng);
+    const KdTree tree(ps);
+    const Partitioning partitioning =
+        make_partitioning(PartitionerKind::kBlock, ps, kPartitions, 77);
+    LocalDbscanConfig local_cfg;
+    local_cfg.params = {0.8, 5};
+    local_cfg.seed_strategy = SeedStrategy::kAllForeign;
+    std::vector<LocalClusterResult> locals;
+    for (u32 p = 0; p < kPartitions; ++p) {
+      locals.push_back(local_dbscan(ps, tree, partitioning,
+                                    static_cast<PartitionId>(p), local_cfg));
+    }
+    expect_parallel_matches_sequential(locals, ps.size(), "exact");
+  }
+  {
+    // KNN-DBSCAN executor output over a d=64 embedding (the
+    // test_knn_backend fixture shape).
+    Rng data_rng(17);
+    synth::EmbeddingConfig ecfg;
+    ecfg.n = 600;
+    ecfg.dim = 64;
+    ecfg.clusters = 5;
+    const PointSet ps = synth::embedding_clusters(ecfg, data_rng);
+    const knn::KnnGraph graph = knn::build_knn_graph(ps, {});
+    const knn::KnnEpsGraph eps = knn::KnnEpsGraph::build(
+        graph, DbscanParams{synth::embedding_suggested_eps(ecfg), 5});
+    const Partitioning partitioning =
+        make_partitioning(PartitionerKind::kBlock, ps, kPartitions, 77);
+    std::vector<LocalClusterResult> locals;
+    for (u32 p = 0; p < kPartitions; ++p) {
+      locals.push_back(knn::local_knn_dbscan(
+          eps, partitioning, static_cast<PartitionId>(p), {}));
+    }
+    expect_parallel_matches_sequential(locals, ps.size(), "knn");
   }
 }
 
@@ -314,98 +341,54 @@ TEST(MergeEquivalence, CountersDeterministicAcrossThreadCounts) {
   }
 }
 
-TEST(MergeEquivalence, LegacyV1BlobsMergeIdenticallyToV2) {
-  // Hand-author v1 wire bytes (the pre-seed-edge layouts) for a fixture,
-  // decode them through both codecs' legacy paths, and check the merge
-  // output matches the v2 round-trip byte-for-byte — old checkpoints keep
-  // replaying into identical clusterings after the wire bump.
-  FixtureConfig cfg;
-  cfg.partitions = 4;
-  cfg.dup_seed_chance = 0.3;
-  Rng rng(7);
-  u64 n = 0;
-  auto locals = make_fixture(cfg, rng, &n);
-  // The compact codec sorts id lists (set semantics); pre-sort the fixture
-  // so v1/v2/raw all describe the same logical result.
-  for (auto& local : locals) {
-    std::sort(local.core_points.begin(), local.core_points.end());
-    std::sort(local.noise.begin(), local.noise.end());
-    for (auto& pc : local.clusters) {
-      std::sort(pc.members.begin(), pc.members.end());
-      std::sort(pc.seeds.begin(), pc.seeds.end());
-      pc.seeds.erase(std::unique(pc.seeds.begin(), pc.seeds.end()),
-                     pc.seeds.end());
-    }
-  }
+TEST(MergeEquivalence, LegacyV1BlobsAbortOnBadWireMagic) {
+  // Each codec decodes exactly one wire version. Hand-authored v1 bytes
+  // (the partition id first, seeds nested inside each cluster record) must
+  // be rejected by the magic check, never misread as a result.
+  const LocalClusterResult local = make_local(
+      1, {make_pc(1, 0, {10, 11}, {0, 20}), make_pc(1, 1, {12}, {})},
+      {10, 11}, {13});
 
-  std::vector<LocalClusterResult> raw_v1, compact_v1;
-  for (const auto& local : locals) {
-    {
-      BinaryWriter w;  // raw v1: partition first (always >= 0), nested seeds
-      w.write_i64(local.partition);
-      w.write_u64(local.clusters.size());
-      for (const auto& pc : local.clusters) serialize(pc, w);
-      w.write_i64_vec(local.core_points);
-      w.write_i64_vec(local.noise);
-      const auto& buf = w.buffer();
-      raw_v1.push_back(decode(std::string(buf.data(), buf.size()),
-                              Codec::kRaw));
-    }
-    {
-      std::vector<char> out;  // compact v1: partition varint first
-      put_varint(out, static_cast<u64>(local.partition));
-      put_varint(out, local.clusters.size());
-      for (const auto& pc : local.clusters) {
-        put_varint(out, pc.uid);
-        put_id_list(out, pc.members);
-        put_id_list(out, pc.seeds);
-      }
-      put_id_list(out, local.core_points);
-      put_id_list(out, local.noise);
-      compact_v1.push_back(decode(std::string(out.data(), out.size()),
-                                  Codec::kCompact));
-    }
-  }
-  for (const auto& decoded : {raw_v1, compact_v1}) {
-    for (const auto& local : decoded) {
-      EXPECT_TRUE(seed_edges_consistent(local));  // synthesized on decode
-    }
-  }
+  BinaryWriter w;
+  w.write_i64(local.partition);
+  w.write_u64(local.clusters.size());
+  for (const auto& pc : local.clusters) serialize(pc, w);
+  w.write_i64_vec(local.core_points);
+  w.write_i64_vec(local.noise);
+  const std::string raw_v1(w.buffer().data(), w.buffer().size());
 
-  std::vector<LocalClusterResult> raw_v2, compact_v2;
-  for (const auto& local : locals) {
-    raw_v2.push_back(decode(encode(local, Codec::kRaw), Codec::kRaw));
-    compact_v2.push_back(
-        decode(encode(local, Codec::kCompact), Codec::kCompact));
+  std::vector<char> out;
+  put_varint(out, static_cast<u64>(local.partition));
+  put_varint(out, local.clusters.size());
+  for (const auto& pc : local.clusters) {
+    put_varint(out, pc.uid);
+    put_id_list(out, pc.members);
+    put_id_list(out, pc.seeds);
   }
+  put_id_list(out, local.core_points);
+  put_id_list(out, local.noise);
+  const std::string compact_v1(out.data(), out.size());
 
-  const auto oracle = run_merge(raw_v2, n, 1);
-  for (const unsigned threads : {1u, 4u}) {
-    expect_identical(oracle, run_merge(raw_v1, n, threads), "raw v1");
-    expect_identical(oracle, run_merge(compact_v1, n, threads),
-                     "compact v1");
-    expect_identical(oracle, run_merge(compact_v2, n, threads),
-                     "compact v2");
-  }
+  EXPECT_DEATH(decode(raw_v1, Codec::kRaw), "bad wire magic");
+  EXPECT_DEATH(decode(compact_v1, Codec::kCompact), "bad wire magic");
 }
 
 TEST(MergeEquivalence, EdgeStatsAccounting) {
-  // edges_emitted counts exactly the surviving clusters' seeds; rounds is a
-  // pure function of that count (fixed chunking), not of the thread count.
+  // seeds_examined counts exactly the surviving clusters' seeds; rounds is
+  // a pure function of that count (fixed chunking), not of the thread count.
   auto a = make_local(0, {make_pc(0, 0, {0, 1}, {10, 11}),
                           make_pc(0, 1, {2}, {10})},
                       {0, 1, 2});
   auto b = make_local(1, {make_pc(1, 0, {10, 11}, {0})}, {10, 11});
   const auto all = run_merge({a, b}, 20, 4);
-  EXPECT_EQ(all.stats.edges_emitted, 4u);
   EXPECT_EQ(all.stats.seeds_examined, 4u);
   EXPECT_EQ(all.stats.rounds, 1u);
   // The filter drops cluster (0,1) and with it its seed edge.
   const auto filtered = run_merge({a, b}, 20, 4, 2);
-  EXPECT_EQ(filtered.stats.edges_emitted, 3u);
+  EXPECT_EQ(filtered.stats.seeds_examined, 3u);
   EXPECT_EQ(filtered.stats.filtered_partial_clusters, 1u);
   // Sequential kUnionFind reports the same edge count.
-  EXPECT_EQ(run_merge({a, b}, 20, 1).stats.edges_emitted, 4u);
+  EXPECT_EQ(run_merge({a, b}, 20, 1).stats.seeds_examined, 4u);
 }
 
 }  // namespace
