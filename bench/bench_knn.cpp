@@ -9,10 +9,11 @@
 //   knn   — NN-descent graph build (wall, rounds, evals, recall vs the
 //           exact graph), eps-graph derivation, and the graph-BFS sweep;
 //   gap   — the disagreement-bound harness vs the exact clustering (ARI,
-//           label/noise/core mismatches). The run itself SDB_CHECKs the
-//           bound (ARI >= 0.95, disagreement fraction <= 2%), so a
-//           quality regression fails the perf smoke, not just a human
-//           reading the numbers.
+//           label/noise/core mismatches, cluster counts, fragments). The
+//           run itself SDB_CHECKs the bound (ARI >= 0.95, disagreement
+//           fraction <= 2%, no fragmented exact cluster), so a quality
+//           regression fails the perf smoke, not just a human reading the
+//           numbers.
 //
 // --smoke shrinks n to seconds-scale and runs under ctest -L perf; full
 // runs maintain the committed BENCH_knn.json (schema in README).
@@ -48,7 +49,6 @@ struct WorkloadReport {
   double exact_tree_ms = 0.0;
   double exact_cluster_ms = 0.0;
   u64 exact_evals = 0;
-  u64 exact_clusters = 0;
   u64 exact_noise = 0;
 
   double knn_graph_ms = 0.0;
@@ -57,7 +57,6 @@ struct WorkloadReport {
   double knn_recall = 0.0;
   double knn_eps_graph_ms = 0.0;
   double knn_cluster_ms = 0.0;
-  u64 knn_clusters = 0;
   u64 knn_noise = 0;
 
   knn::DisagreementReport gap;
@@ -100,7 +99,7 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
   // distance over a deterministic 256-point sample. Distance concentration
   // makes any fixed multiple of the intra-cluster RMS a cliff whose position
   // shifts with cluster size (above it eps swallows the whole cluster and
-  // k mutual rows cannot cover the neighborhood; below it everything is
+  // the k-slot rows cannot cover the neighborhood; below it everything is
   // noise). Anchoring eps to the observed k-dist keeps eps-neighborhoods at
   // the scale the graph's k rows cover at any n, while the exact path still
   // cannot box-prune a radius this small at this dimensionality.
@@ -147,7 +146,6 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
     r.exact_cluster_ms = sw.millis();
     r.exact_evals = wc.distance_evals;
   }
-  r.exact_clusters = exact.clustering.num_clusters;
   r.exact_noise = exact.clustering.noise_count();
 
   // --- KNN backend: NN-descent graph -> eps-graph -> BFS sweep ---
@@ -204,7 +202,6 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
     approx = knn::knn_dbscan(eps_graph);
     r.knn_cluster_ms = sw.millis();
   }
-  r.knn_clusters = approx.num_clusters;
   r.knn_noise = approx.noise_count();
 
   // --- disagreement bound: the backend may differ from exact DBSCAN only
@@ -215,30 +212,33 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
   }
   r.gap = knn::measure_disagreement(exact.clustering, approx, exact_core,
                                     eps_graph.core_mask());
-  if (!r.gap.within(0.95, 0.02)) {
+  if (!r.gap.within(0.95, 0.02) || r.gap.fragments != 0) {
     // The fatal below carries no numbers; print them first so a CI failure
     // is diagnosable from the log alone.
     std::fprintf(stderr,
                  "%s: ari=%.4f frac=%.4f label=%llu noise=%llu core=%llu "
-                 "clusters exact=%llu knn=%llu recall=%.4f\n",
+                 "clusters exact=%llu knn=%llu fragments=%llu recall=%.4f\n",
                  name.c_str(), r.gap.ari, r.gap.disagreement_frac(),
                  static_cast<unsigned long long>(r.gap.label_disagreements),
                  static_cast<unsigned long long>(r.gap.noise_mismatches),
                  static_cast<unsigned long long>(r.gap.core_mismatches),
-                 static_cast<unsigned long long>(r.exact_clusters),
-                 static_cast<unsigned long long>(r.knn_clusters),
+                 static_cast<unsigned long long>(r.gap.exact_clusters),
+                 static_cast<unsigned long long>(r.gap.approx_clusters),
+                 static_cast<unsigned long long>(r.gap.fragments),
                  r.knn_recall);
   }
   SDB_CHECK(r.gap.within(0.95, 0.02),
             "KNN-DBSCAN drifted outside the disagreement bound "
             "(ARI >= 0.95, fraction <= 0.02)");
+  SDB_CHECK(r.gap.fragments == 0,
+            "KNN-DBSCAN split an exact cluster with no majority holder");
   return r;
 }
 
 void print_table(const std::vector<WorkloadReport>& reports, bool csv) {
   TablePrinter t({"workload", "n", "d", "exact_ms", "exact_evals", "knn_ms",
                   "graph_evals", "eval_ratio", "rounds", "recall", "ari",
-                  "disagree_frac"});
+                  "disagree_frac", "fragments"});
   for (const auto& r : reports) {
     t.add_row({r.name, TablePrinter::cell(r.n),
                TablePrinter::cell(static_cast<i64>(r.dim)),
@@ -250,7 +250,8 @@ void print_table(const std::vector<WorkloadReport>& reports, bool csv) {
                TablePrinter::cell(static_cast<u64>(r.knn_rounds)),
                TablePrinter::cell(r.knn_recall, 4),
                TablePrinter::cell(r.gap.ari, 4),
-               TablePrinter::cell(r.gap.disagreement_frac(), 5)});
+               TablePrinter::cell(r.gap.disagreement_frac(), 5),
+               TablePrinter::cell(r.gap.fragments)});
   }
   t.print("KNN-DBSCAN vs exact DBSCAN (high-dimensional embeddings)");
   if (csv) std::printf("%s", t.to_csv().c_str());
@@ -280,7 +281,7 @@ void write_json(const std::string& path, const std::string& mode, u64 seed,
                  "\"clusters\": %llu, \"noise\": %llu},\n",
                  r.exact_tree_ms, r.exact_cluster_ms, r.exact_total_ms(),
                  static_cast<unsigned long long>(r.exact_evals),
-                 static_cast<unsigned long long>(r.exact_clusters),
+                 static_cast<unsigned long long>(r.gap.exact_clusters),
                  static_cast<unsigned long long>(r.exact_noise));
     std::fprintf(f,
                  "     \"knn\": {\"graph_ms\": %.3f, \"rounds\": %u, "
@@ -291,17 +292,19 @@ void write_json(const std::string& path, const std::string& mode, u64 seed,
                  static_cast<unsigned long long>(r.knn_graph_evals),
                  r.knn_recall, r.knn_eps_graph_ms, r.knn_cluster_ms,
                  r.knn_total_ms(),
-                 static_cast<unsigned long long>(r.knn_clusters),
+                 static_cast<unsigned long long>(r.gap.approx_clusters),
                  static_cast<unsigned long long>(r.knn_noise));
     std::fprintf(f,
                  "     \"eval_ratio\": %.2f,\n"
                  "     \"disagreement\": {\"ari\": %.6f, "
                  "\"label_disagreements\": %llu, \"noise_mismatches\": %llu, "
-                 "\"core_mismatches\": %llu, \"fraction\": %.6f}}%s\n",
+                 "\"core_mismatches\": %llu, \"fragments\": %llu, "
+                 "\"fraction\": %.6f}}%s\n",
                  r.eval_ratio(), r.gap.ari,
                  static_cast<unsigned long long>(r.gap.label_disagreements),
                  static_cast<unsigned long long>(r.gap.noise_mismatches),
                  static_cast<unsigned long long>(r.gap.core_mismatches),
+                 static_cast<unsigned long long>(r.gap.fragments),
                  r.gap.disagreement_frac(),
                  i + 1 < reports.size() ? "," : "");
   }

@@ -1,11 +1,5 @@
 #include "core/local_dbscan.hpp"
 
-#include <algorithm>
-#include <deque>
-
-#include "util/counters.hpp"
-#include "util/flat_hash.hpp"
-
 namespace sdb::dbscan {
 
 const char* seed_strategy_name(SeedStrategy s) {
@@ -21,160 +15,19 @@ LocalClusterResult local_dbscan(const PointSet& points,
                                 const Partitioning& partitioning,
                                 PartitionId partition,
                                 const LocalDbscanConfig& config) {
-  SDB_CHECK(partition >= 0 &&
-                static_cast<u32>(partition) < partitioning.num_partitions,
-            "partition id out of range");
-  const auto& my_points = partitioning.parts[static_cast<size_t>(partition)];
-  const auto& owner = partitioning.owner;
-
-  LocalClusterResult result;
-  result.partition = partition;
-
-  // The paper's Hashtable: visited marks + cluster membership of local
-  // points. Algorithm 2 line 5 / line 11 / line 13 operate on it.
-  FlatIdMap<ClusterId> membership(my_points.size() * 2 + 16);
-  FlatIdSet visited(my_points.size() * 2 + 16);
-
+  // Algorithm 2 lines 6 and 15: the eps-neighborhood via the broadcast
+  // kd-tree. One buffer serves every query; the sweep consumes each
+  // neighborhood before asking for the next.
   std::vector<PointId> neighbors;
-  std::deque<PointId> frontier;  // the paper's Queue (LinkedList)
-  u64 frontier_peak = 0;
-
-  // Per-call counter batch: the expansion sweep increments hash/queue/seed
-  // counters on every element, and a thread-local lookup per increment is
-  // measurable at r1m scale. Tally locally, flush once through
-  // counters::add — identical totals in every enclosing scope. (The
-  // range_query calls flush their own per-query batches independently.)
-  WorkCounters tally;
-
-  // Algorithm 3 line 2 place flags, hoisted out of the cluster loop: the
-  // per-cluster O(num_partitions) zero-fill showed up as allocator traffic
-  // on many-cluster workloads. Only the entries dirtied by the previous
-  // cluster are cleared.
-  std::vector<char> seed_placed(partitioning.num_partitions, 0);
-  std::vector<PartitionId> seed_dirty;
-
-  for (const PointId p : my_points) {
-    tally.hash_ops += 1;
-    if (visited.contains(p)) continue;  // line 5: already processed
-    visited.insert(p);
-    tally.hash_ops += 1;
-    tally.points_processed += 1;
-
-    neighbors.clear();
-    index.range_query_budgeted(points[p], config.params.eps, config.budget,
-                               neighbors);  // line 6: via broadcast kd-tree
-
-    if (static_cast<i64>(neighbors.size()) < config.params.minpts) {
-      result.noise.push_back(p);  // line 9 of Algorithm 2: mark as noise
-      continue;
-    }
-
-    // New partial cluster seeded at local core point p.
-    result.core_points.push_back(p);
-    PartialCluster pc;
-    pc.partition = partition;
-    pc.uid = PartialCluster::make_uid(partition,
-                                      static_cast<u32>(result.clusters.size()));
-    pc.members.push_back(p);
-    membership.put(p, static_cast<ClusterId>(pc.uid));
-    tally.hash_ops += 1;
-
-    // Algorithm 3 state: reset the hoisted place flags, plus a dedup set so
-    // kAllForeign records each foreign point once.
-    for (const PartitionId d : seed_dirty) seed_placed[static_cast<size_t>(d)] = 0;
-    seed_dirty.clear();
-    FlatIdSet seeds_seen;
-
-    // Frontier dedup (bugfix): the naive expansion pushes every neighbor of
-    // every core point, so a dense cluster enqueues each point O(minpts)
-    // times — O(n*minpts) queue memory and inflated queue_ops. Skip at push
-    // time anything already claimed by this partition's sweep (its pop was
-    // always a no-op: claimed implies visited, so neither expansion nor
-    // membership would fire) and anything already queued for this cluster.
-    // Pops see each id's FIRST occurrence in the original order, so
-    // members/seeds/noise come out byte-identical to the naive loop.
-    FlatIdSet enqueued(neighbors.size() * 2);
-    frontier.clear();
-    auto enqueue = [&](PointId r) {
-      tally.hash_ops += 1;
-      if (owner[static_cast<size_t>(r)] == partition &&
-          membership.find(r) != nullptr) {
-        return;
-      }
-      tally.hash_ops += 1;
-      if (!enqueued.insert(r)) return;
-      frontier.push_back(r);
-      tally.queue_ops += 1;
-    };
-    for (const PointId r : neighbors) enqueue(r);
-    frontier_peak = std::max<u64>(frontier_peak, frontier.size());
-
-    while (!frontier.empty()) {
-      const PointId q = frontier.front();
-      frontier.pop_front();
-      tally.queue_ops += 1;
-
-      const PartitionId q_owner = owner[static_cast<size_t>(q)];
-      if (q_owner != partition) {
-        // Foreign point -> SEED placement (Algorithm 3 lines 6-26).
-        tally.seed_ops += 1;
-        switch (config.seed_strategy) {
-          case SeedStrategy::kOnePerPartition:
-            if (!seed_placed[static_cast<size_t>(q_owner)]) {
-              seed_placed[static_cast<size_t>(q_owner)] = 1;  // place_flg
-              seed_dirty.push_back(q_owner);
-              pc.seeds.push_back(q);
-            }
-            break;
-          case SeedStrategy::kAllForeign:
-            tally.hash_ops += 1;
-            if (seeds_seen.insert(q)) pc.seeds.push_back(q);
-            break;
-        }
-        continue;  // never expand foreign points: no peer communication
-      }
-
-      tally.hash_ops += 1;
-      if (!visited.contains(q)) {  // line 13: q unvisited
-        visited.insert(q);
-        tally.hash_ops += 1;
-        tally.points_processed += 1;
+  return local_sweep(
+      partitioning, partition, config.seed_strategy, [&](PointId p) {
         neighbors.clear();
-        index.range_query_budgeted(points[q], config.params.eps, config.budget,
-                                   neighbors);  // line 15
-        if (static_cast<i64>(neighbors.size()) >= config.params.minpts) {
-          // line 16-17: q is core, its neighborhood extends the frontier
-          // (deduplicated — see `enqueue` above).
-          result.core_points.push_back(q);
-          for (const PointId r : neighbors) enqueue(r);
-          frontier_peak = std::max<u64>(frontier_peak, frontier.size());
-        }
-      }
-
-      // line 20-22: claim q for this cluster if unclaimed.
-      tally.hash_ops += 1;
-      if (membership.find(q) == nullptr) {
-        membership.put(q, static_cast<ClusterId>(pc.uid));
-        tally.hash_ops += 1;
-        pc.members.push_back(q);
-      }
-    }
-    result.clusters.push_back(std::move(pc));
-  }
-
-  // A locally-noise point may have been claimed later as a border point of a
-  // local cluster (noise -> border promotion); drop those from the noise
-  // list so the driver sees consistent facts.
-  std::vector<PointId> true_noise;
-  true_noise.reserve(result.noise.size());
-  for (const PointId p : result.noise) {
-    tally.hash_ops += 1;
-    if (membership.find(p) == nullptr) true_noise.push_back(p);
-  }
-  result.noise = std::move(true_noise);
-  tally.frontier_peak = frontier_peak;
-  counters::add(tally);
-  return result;
+        index.range_query_budgeted(points[p], config.params.eps,
+                                   config.budget, neighbors);
+        return Neighborhood{
+            static_cast<i64>(neighbors.size()) >= config.params.minpts,
+            neighbors};
+      });
 }
 
 }  // namespace sdb::dbscan

@@ -10,22 +10,6 @@ constexpr i64 kRawMagicV2 = -0x53444232;
 
 }  // namespace
 
-void serialize(const PartialCluster& pc, BinaryWriter& w) {
-  w.write_u64(pc.uid);
-  w.write_i64(pc.partition);
-  w.write_i64_vec(pc.members);
-  w.write_i64_vec(pc.seeds);
-}
-
-PartialCluster deserialize_partial_cluster(BinaryReader& r) {
-  PartialCluster pc;
-  pc.uid = r.read_u64();
-  pc.partition = static_cast<PartitionId>(r.read_i64());
-  pc.members = r.read_i64_vec();
-  pc.seeds = r.read_i64_vec();
-  return pc;
-}
-
 void serialize(const LocalClusterResult& result, BinaryWriter& w) {
   // Header, members-only cluster records, per-point facts, then each
   // cluster's seed list in clusters order.

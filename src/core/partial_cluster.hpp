@@ -63,8 +63,6 @@ struct LocalClusterResult {
 /// data really does cross a serialization boundary). serialize() writes the
 /// kLocalResultWireV2 layout; deserialize_local_result() aborts on any other
 /// magic or version.
-void serialize(const PartialCluster& pc, BinaryWriter& w);
-PartialCluster deserialize_partial_cluster(BinaryReader& r);
 void serialize(const LocalClusterResult& result, BinaryWriter& w);
 LocalClusterResult deserialize_local_result(BinaryReader& r);
 

@@ -19,6 +19,8 @@ DisagreementReport measure_disagreement(const dbscan::Clustering& exact,
   const size_t n = exact.labels.size();
   DisagreementReport report;
   report.points = n;
+  report.exact_clusters = exact.num_clusters;
+  report.approx_clusters = approx.num_clusters;
   if (n == 0) return report;
 
   report.ari = dbscan::adjusted_rand_index(exact, approx);
@@ -67,6 +69,21 @@ DisagreementReport measure_disagreement(const dbscan::Clustering& exact,
     agree += count;
   }
   report.label_disagreements = both - agree;
+
+  // Fragmentation: compare each exact cluster's size with the largest
+  // share any one approx cluster holds of it.
+  std::unordered_map<ClusterId, u64> exact_size;
+  std::unordered_map<ClusterId, u64> best_share;
+  for (size_t i = 0; i < n; ++i) {
+    if (exact.labels[i] != kNoise) ++exact_size[exact.labels[i]];
+  }
+  for (const auto& [key, count] : cell) {
+    u64& best = best_share[key.first];
+    best = std::max(best, count);
+  }
+  for (const auto& [label, size] : exact_size) {
+    if (2 * best_share[label] <= size) ++report.fragments;
+  }
   return report;
 }
 

@@ -11,7 +11,10 @@
 //     disagreement),
 //   * the label-disagreement count under greedy best-overlap cluster
 //     matching, and
-//   * core / noise set symmetric differences.
+//   * core / noise set symmetric differences, and
+//   * fragmentation: cluster counts on both sides plus the exact clusters
+//     that no single approx cluster holds a majority of (a missed core-core
+//     edge splits a cluster without moving ARI much).
 // Tests and bench_knn assert bounds on these; well-separated fixtures with
 // an exact graph must score ZERO disagreement (the parity case).
 #pragma once
@@ -32,6 +35,12 @@ struct DisagreementReport {
   u64 label_disagreements = 0;
   u64 noise_mismatches = 0;  ///< noise in exactly one of the two
   u64 core_mismatches = 0;   ///< core in exactly one (0 when masks match)
+
+  u64 exact_clusters = 0;   ///< exact.num_clusters
+  u64 approx_clusters = 0;  ///< approx.num_clusters
+  /// Exact clusters whose points no single approx cluster holds a strict
+  /// majority of (points approx calls noise count against every holder).
+  u64 fragments = 0;
 
   /// Fraction of points involved in any disagreement.
   [[nodiscard]] double disagreement_frac() const {

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <deque>
 
-#include "util/counters.hpp"
-#include "util/flat_hash.hpp"
-
 namespace sdb::knn {
 
 KnnEpsGraph KnnEpsGraph::build(const KnnGraph& graph,
@@ -21,9 +18,10 @@ KnnEpsGraph KnnEpsGraph::build(const KnnGraph& graph,
   g.minpts_ = params.minpts;
   g.core_.assign(n, 0);
 
-  // Pass 1: in-eps prefix of every row -> directed edge lists + core mask.
-  // Rows are ascending by (d2, id), so the in-eps prefix is contiguous.
-  std::vector<std::vector<std::pair<PointId, std::uint8_t>>> adj(n);
+  // Pass 1: in-eps prefix of every row -> undirected edge lists + core
+  // mask. Rows are ascending by (d2, id), so the in-eps prefix is
+  // contiguous. Each edge goes into both endpoints' lists.
+  std::vector<std::vector<PointId>> adj(n);
   for (size_t i = 0; i < n; ++i) {
     const auto pid = static_cast<PointId>(i);
     const auto ids = graph.row_ids(pid);
@@ -32,41 +30,25 @@ KnnEpsGraph KnnEpsGraph::build(const KnnGraph& graph,
     for (u32 s = 0; s < graph.k(); ++s) {
       if (ids[s] == kNoNeighbor || d2s[s] > eps2) break;
       ++in_eps;
-      adj[i].emplace_back(ids[s], kFwd);
-      adj[static_cast<size_t>(ids[s])].emplace_back(pid, kRev);
+      adj[i].push_back(ids[s]);
+      adj[static_cast<size_t>(ids[s])].push_back(pid);
     }
     // Core: the point itself plus its in-eps row reaches minpts.
     if (1 + static_cast<i64>(in_eps) >= params.minpts) g.core_[i] = 1;
   }
 
-  // Pass 2: per-row sort by target and OR the flags of duplicate targets
-  // (an edge seen both forward and reverse becomes kMutual), then pack CSR.
+  // Pass 2: per-row sort + unique (an edge seen in both rows was added
+  // twice), then pack the CSR.
   g.offsets_.assign(n + 1, 0);
-  u64 total = 0;
   for (size_t i = 0; i < n; ++i) {
     auto& row = adj[i];
     std::sort(row.begin(), row.end());
-    size_t w = 0;
-    for (size_t r = 0; r < row.size(); ++r) {
-      if (w > 0 && row[w - 1].first == row[r].first) {
-        row[w - 1].second |= row[r].second;
-      } else {
-        row[w++] = row[r];
-      }
-    }
-    row.resize(w);
-    total += w;
-    g.offsets_[i + 1] = total;
+    row.erase(std::unique(row.begin(), row.end()), row.end());
+    g.offsets_[i + 1] = g.offsets_[i] + row.size();
   }
-  g.targets_.resize(total);
-  g.flags_.resize(total);
-  for (size_t i = 0; i < n; ++i) {
-    u64 at = g.offsets_[i];
-    for (const auto& [t, f] : adj[i]) {
-      g.targets_[at] = t;
-      g.flags_[at] = f;
-      ++at;
-    }
+  g.targets_.reserve(g.offsets_[n]);
+  for (const auto& row : adj) {
+    g.targets_.insert(g.targets_.end(), row.begin(), row.end());
   }
   return g;
 }
@@ -90,21 +72,9 @@ u64 KnnEpsGraph::digest() const {
   fold(&minpts_, sizeof(minpts_));
   fold(offsets_.data(), offsets_.size() * sizeof(u64));
   fold(targets_.data(), targets_.size() * sizeof(PointId));
-  fold(flags_.data(), flags_.size());
   fold(core_.data(), core_.size());
   return h;
 }
-
-namespace {
-
-/// The expansion rule shared by both engines: from a CORE point, follow an
-/// edge to j when j is a border candidate (any direction proves d <= eps)
-/// or the edge is mutual (core-core connectivity).
-inline bool expands_to(const KnnEpsGraph& g, PointId j, std::uint8_t flags) {
-  return !g.is_core(j) || flags == KnnEpsGraph::kMutual;
-}
-
-}  // namespace
 
 dbscan::Clustering knn_dbscan(const KnnEpsGraph& graph) {
   const size_t n = graph.size();
@@ -121,11 +91,7 @@ dbscan::Clustering knn_dbscan(const KnnEpsGraph& graph) {
     while (!frontier.empty()) {
       const PointId q = frontier.front();
       frontier.pop_front();
-      const auto targets = graph.neighbors(q);
-      const auto flags = graph.edge_flags(q);
-      for (size_t e = 0; e < targets.size(); ++e) {
-        const PointId j = targets[e];
-        if (!expands_to(graph, j, flags[e])) continue;
+      for (const PointId j : graph.neighbors(q)) {
         if (out.labels[static_cast<size_t>(j)] != kNoise) continue;
         out.labels[static_cast<size_t>(j)] = cluster;
         // Only core points extend the frontier; borders are claimed leaves.
@@ -139,141 +105,12 @@ dbscan::Clustering knn_dbscan(const KnnEpsGraph& graph) {
 dbscan::LocalClusterResult local_knn_dbscan(
     const KnnEpsGraph& graph, const dbscan::Partitioning& partitioning,
     PartitionId partition, const LocalKnnDbscanConfig& config) {
-  using dbscan::PartialCluster;
-  using dbscan::SeedStrategy;
-  SDB_CHECK(partition >= 0 &&
-                static_cast<u32>(partition) < partitioning.num_partitions,
-            "partition id out of range");
-  const auto& my_points = partitioning.parts[static_cast<size_t>(partition)];
-  const auto& owner = partitioning.owner;
-
-  dbscan::LocalClusterResult result;
-  result.partition = partition;
-
-  // Same Hashtable / Queue structure (and counter charging) as local_dbscan;
-  // the eps-neighborhood "query" is a CSR row read, so the spatial work was
+  // The eps-neighborhood "query" is a CSR row read: the spatial work was
   // all prepaid by the graph build's distance_evals.
-  FlatIdMap<ClusterId> membership(my_points.size() * 2 + 16);
-  FlatIdSet visited(my_points.size() * 2 + 16);
-
-  std::deque<PointId> frontier;
-  u64 frontier_peak = 0;
-  WorkCounters tally;
-
-  std::vector<char> seed_placed(partitioning.num_partitions, 0);
-  std::vector<PartitionId> seed_dirty;
-
-  for (const PointId p : my_points) {
-    tally.hash_ops += 1;
-    if (visited.contains(p)) continue;
-    visited.insert(p);
-    tally.hash_ops += 1;
-    tally.points_processed += 1;
-
-    if (!graph.is_core(p)) {
-      // Not core under the GLOBAL mask: provisional noise. If a local
-      // cluster claims it below it is promoted to border; if only a foreign
-      // cluster reaches it, the driver merge adopts it via its seed record
-      // — exactly the exact path's noise/border life cycle.
-      result.noise.push_back(p);
-      continue;
-    }
-
-    result.core_points.push_back(p);
-    PartialCluster pc;
-    pc.partition = partition;
-    pc.uid = PartialCluster::make_uid(partition,
-                                      static_cast<u32>(result.clusters.size()));
-    pc.members.push_back(p);
-    membership.put(p, static_cast<ClusterId>(pc.uid));
-    tally.hash_ops += 1;
-
-    for (const PartitionId d : seed_dirty) {
-      seed_placed[static_cast<size_t>(d)] = 0;
-    }
-    seed_dirty.clear();
-    FlatIdSet seeds_seen;
-
-    FlatIdSet enqueued(graph.neighbors(p).size() * 2 + 16);
-    frontier.clear();
-    auto enqueue = [&](PointId r) {
-      tally.hash_ops += 1;
-      if (owner[static_cast<size_t>(r)] == partition &&
-          membership.find(r) != nullptr) {
-        return;
-      }
-      tally.hash_ops += 1;
-      if (!enqueued.insert(r)) return;
-      frontier.push_back(r);
-      tally.queue_ops += 1;
-    };
-    auto expand = [&](PointId q) {
-      const auto targets = graph.neighbors(q);
-      const auto flags = graph.edge_flags(q);
-      for (size_t e = 0; e < targets.size(); ++e) {
-        if (expands_to(graph, targets[e], flags[e])) enqueue(targets[e]);
-      }
-    };
-    expand(p);
-    frontier_peak = std::max<u64>(frontier_peak, frontier.size());
-
-    while (!frontier.empty()) {
-      const PointId q = frontier.front();
-      frontier.pop_front();
-      tally.queue_ops += 1;
-
-      const PartitionId q_owner = owner[static_cast<size_t>(q)];
-      if (q_owner != partition) {
-        tally.seed_ops += 1;
-        switch (config.seed_strategy) {
-          case SeedStrategy::kOnePerPartition:
-            if (!seed_placed[static_cast<size_t>(q_owner)]) {
-              seed_placed[static_cast<size_t>(q_owner)] = 1;
-              seed_dirty.push_back(q_owner);
-              pc.seeds.push_back(q);
-            }
-            break;
-          case SeedStrategy::kAllForeign:
-            tally.hash_ops += 1;
-            if (seeds_seen.insert(q)) pc.seeds.push_back(q);
-            break;
-        }
-        continue;  // never expand foreign points: no peer communication
-      }
-
-      tally.hash_ops += 1;
-      if (!visited.contains(q)) {
-        visited.insert(q);
-        tally.hash_ops += 1;
-        tally.points_processed += 1;
-        if (graph.is_core(q)) {
-          result.core_points.push_back(q);
-          expand(q);
-          frontier_peak = std::max<u64>(frontier_peak, frontier.size());
-        }
-      }
-
-      tally.hash_ops += 1;
-      if (membership.find(q) == nullptr) {
-        membership.put(q, static_cast<ClusterId>(pc.uid));
-        tally.hash_ops += 1;
-        pc.members.push_back(q);
-      }
-    }
-    result.clusters.push_back(std::move(pc));
-  }
-
-  // Noise -> border promotion cleanup, as in local_dbscan.
-  std::vector<PointId> true_noise;
-  true_noise.reserve(result.noise.size());
-  for (const PointId p : result.noise) {
-    tally.hash_ops += 1;
-    if (membership.find(p) == nullptr) true_noise.push_back(p);
-  }
-  result.noise = std::move(true_noise);
-  tally.frontier_peak = frontier_peak;
-  counters::add(tally);
-  return result;
+  return dbscan::local_sweep(
+      partitioning, partition, config.seed_strategy, [&](PointId p) {
+        return dbscan::Neighborhood{graph.is_core(p), graph.neighbors(p)};
+      });
 }
 
 }  // namespace sdb::knn

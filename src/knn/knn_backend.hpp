@@ -8,24 +8,22 @@
 //     neighborhood the graph can observe is p itself plus its row, so
 //     p is core iff 1 + |{j in row(p) : d2(p,j) <= eps^2}| >= minpts.
 //     This requires k >= minpts - 1 (checked at build).
-//   * CONNECTIVITY: two core points are density-connected through a MUTUAL
-//     in-eps edge only (each appears in the other's row). Mutuality makes
-//     the core-core relation symmetric — without it, approximate rows would
-//     make reachability depend on traversal direction and the partitioned
-//     sweep could diverge from the single-node one.
-//   * BORDER: a non-core point joins a cluster through an in-eps edge in
-//     EITHER direction to one of its cores (a border point need not appear
-//     in the core's row; its own row pointing at the core is just as valid
-//     evidence of d <= eps).
+//   * CONNECTIVITY: two core points are density-connected through an
+//     in-eps edge in EITHER direction. Either row holding the other proves
+//     d <= eps, which is exactly DBSCAN's core-core edge; the eps-graph
+//     stores every such edge in both rows, so the relation is symmetric and
+//     reachability never depends on traversal direction.
+//   * BORDER: a non-core point joins a cluster through an in-eps edge to one
+//     of its cores, by the same either-direction rule (a border point need
+//     not appear in the core's row).
 //
-// The same rule drives both the single-node reference (knn_dbscan) and the
-// partitioned executor kernel (local_knn_dbscan), so the two engines agree
-// exactly; approximation error relative to true DBSCAN enters only through
-// the graph build and is measured by the disagreement harness
-// (knn/disagreement.hpp).
+// The single-node reference (knn_dbscan) and the partitioned executor
+// kernel (local_knn_dbscan, which runs dbscan::local_sweep over graph rows)
+// follow the same edges, so the two engines agree exactly; approximation
+// error relative to true DBSCAN enters only through the graph build (a
+// missing row entry hides an in-eps edge) and is measured by the
+// disagreement harness (knn/disagreement.hpp).
 #pragma once
-
-#include <cstdint>
 
 #include "core/dbscan.hpp"
 #include "core/local_dbscan.hpp"
@@ -36,18 +34,12 @@
 namespace sdb::knn {
 
 /// The in-eps adjacency + core facts derived from a kNN graph for one
-/// (eps, minpts): a CSR over undirected in-eps edges, each tagged with the
-/// direction(s) it was observed in, plus the global core mask. Built once on
+/// (eps, minpts): a CSR over undirected in-eps edges (an edge seen in
+/// either row is stored in both), plus the global core mask. Built once on
 /// the driver and broadcast — executors share one consistent view of
 /// coreness, which is what lets merge_partial_clusters run unchanged.
 class KnnEpsGraph {
  public:
-  /// Edge direction flags: kFwd = target appears in source's row,
-  /// kRev = source appears in target's row, kMutual = both.
-  static constexpr std::uint8_t kFwd = 1;
-  static constexpr std::uint8_t kRev = 2;
-  static constexpr std::uint8_t kMutual = kFwd | kRev;
-
   /// Derive the eps-graph from `graph` rows. SDB_CHECKs
   /// k >= minpts - 1 (smaller k can never certify a core point).
   static KnnEpsGraph build(const KnnGraph& graph,
@@ -62,14 +54,10 @@ class KnnEpsGraph {
   [[nodiscard]] const std::vector<char>& core_mask() const { return core_; }
   [[nodiscard]] u64 num_core() const;
 
-  /// Row i's in-eps neighbors, ascending by id, with parallel flags.
+  /// Row i's in-eps neighbors, strictly ascending by id, never i itself.
   [[nodiscard]] std::span<const PointId> neighbors(PointId i) const {
     const auto b = offsets_[static_cast<size_t>(i)];
     return {targets_.data() + b, offsets_[static_cast<size_t>(i) + 1] - b};
-  }
-  [[nodiscard]] std::span<const std::uint8_t> edge_flags(PointId i) const {
-    const auto b = offsets_[static_cast<size_t>(i)];
-    return {flags_.data() + b, offsets_[static_cast<size_t>(i) + 1] - b};
   }
 
   [[nodiscard]] u64 num_edges() const { return targets_.size(); }
@@ -81,7 +69,7 @@ class KnnEpsGraph {
   /// Serialized footprint; prices the pipeline's broadcast.
   [[nodiscard]] u64 byte_size() const {
     return offsets_.size() * sizeof(u64) + targets_.size() * sizeof(PointId) +
-           flags_.size() + core_.size() + 32;
+           core_.size() + 32;
   }
 
  private:
@@ -89,7 +77,6 @@ class KnnEpsGraph {
   i64 minpts_ = 0;
   std::vector<u64> offsets_;    ///< n + 1 row offsets
   std::vector<PointId> targets_;
-  std::vector<std::uint8_t> flags_;
   std::vector<char> core_;
 };
 
@@ -103,12 +90,12 @@ struct LocalKnnDbscanConfig {
   dbscan::SeedStrategy seed_strategy = dbscan::SeedStrategy::kAllForeign;
 };
 
-/// Executor kernel of the KNN backend — local_dbscan with the broadcast
-/// eps-graph substituted for the broadcast spatial index. Same BFS, same
-/// SEED placement, same LocalClusterResult wire shape, so codec /
-/// checkpoint / merge machinery is reused unchanged. Coreness comes from
-/// the graph's global mask (never recomputed locally), which keeps every
-/// executor's facts mutually consistent for the merge.
+/// Executor kernel of the KNN backend — dbscan::local_sweep with the
+/// broadcast eps-graph as the neighborhood source in place of the broadcast
+/// spatial index. Same BFS, same SEED placement, same LocalClusterResult
+/// wire shape, so codec / checkpoint / merge machinery is reused unchanged.
+/// Coreness comes from the graph's global mask (never recomputed locally),
+/// which keeps every executor's facts mutually consistent for the merge.
 dbscan::LocalClusterResult local_knn_dbscan(
     const KnnEpsGraph& graph, const dbscan::Partitioning& partitioning,
     PartitionId partition, const LocalKnnDbscanConfig& config);

@@ -6,7 +6,7 @@
 // dimensions), and the grid's 3^d neighborhood explodes. KNN-DBSCAN (Chen
 // et al., PAPERS.md) recovers DBSCAN semantics from a kNN graph instead:
 // core points fall out of the k-th neighbor distance, connectivity out of
-// mutual-kNN edges — and an APPROXIMATE graph, built by NN-descent (Dong et
+// in-eps kNN edges — and an APPROXIMATE graph, built by NN-descent (Dong et
 // al.)-style neighbor refinement, costs O(n * k^2 * rounds) distance
 // evaluations instead of O(n^2), independent of dimension.
 //

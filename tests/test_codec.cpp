@@ -63,6 +63,48 @@ TEST_P(CodecRoundTrip, EmptyResult) {
   EXPECT_TRUE(back.noise.empty());
 }
 
+TEST_P(CodecRoundTrip, SeedsAtPartitionBoundariesRoundTrip) {
+  // SEEDs reference points OWNED BY OTHER PARTITIONS — including ids at the
+  // boundary of the id space (first point, last point). The second cluster
+  // is empty: no members, no seeds.
+  LocalClusterResult r;
+  r.partition = 2;
+  PartialCluster a;
+  a.uid = PartialCluster::make_uid(2, 0);
+  a.partition = 2;
+  a.members = {10, 11, 12};
+  a.seeds = {0, 9, 13, 999'999'999};
+  PartialCluster b;
+  b.uid = PartialCluster::make_uid(2, 1);
+  b.partition = 2;
+  r.clusters = {a, b};
+  r.core_points = {10, 11};
+  const LocalClusterResult back = decode(encode(r, GetParam()), GetParam());
+  ASSERT_EQ(back.clusters.size(), 2u);
+  EXPECT_EQ(sorted(back.clusters[0].seeds), sorted(a.seeds));
+  EXPECT_EQ(back.clusters[1].uid, b.uid);
+  EXPECT_TRUE(back.clusters[1].members.empty());
+  EXPECT_TRUE(back.clusters[1].seeds.empty());
+}
+
+TEST_P(CodecRoundTrip, MaxUidRoundTrips) {
+  // make_uid packs (partition << 32) | local index; saturate both halves.
+  LocalClusterResult r;
+  r.partition = static_cast<PartitionId>(0x7fffffff);
+  PartialCluster pc;
+  pc.partition = r.partition;
+  pc.uid = PartialCluster::make_uid(pc.partition, 0xffffffffu);
+  pc.members = {1};
+  r.clusters = {pc};
+  const LocalClusterResult back = decode(encode(r, GetParam()), GetParam());
+  EXPECT_EQ(back.partition, r.partition);
+  ASSERT_EQ(back.clusters.size(), 1u);
+  EXPECT_EQ(back.clusters[0].uid, pc.uid);
+  EXPECT_EQ(back.clusters[0].partition, pc.partition);
+  EXPECT_EQ(back.clusters[0].uid >> 32, 0x7fffffffu);
+  EXPECT_EQ(back.clusters[0].uid & 0xffffffffu, 0xffffffffu);
+}
+
 INSTANTIATE_TEST_SUITE_P(Codecs, CodecRoundTrip,
                          ::testing::Values(Codec::kRaw, Codec::kCompact),
                          [](const auto& info) {

@@ -1,6 +1,7 @@
 // KNN-DBSCAN backend contract (knn/knn_backend.hpp + the spark pipeline
 // backend switch):
-//   * KnnEpsGraph core/edge semantics against hand-checkable fixtures;
+//   * KnnEpsGraph core/edge semantics against hand-checkable fixtures,
+//     including a core-core edge that only one kNN row holds;
 //   * the disagreement-bound harness: well-separated fixtures with an exact
 //     graph score ZERO disagreement vs exact DBSCAN, embedding workloads
 //     with the descent build stay within an asserted (ARI, fraction) bound;
@@ -11,6 +12,7 @@
 //     checkpoints (backend-salted fingerprints).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -92,7 +94,7 @@ TEST(KnnEpsGraph, RequiresKAtLeastMinptsMinusOne) {
                "minpts");
 }
 
-TEST(KnnEpsGraph, MutualEdgesAreSymmetricAndFlagsConsistent) {
+TEST(KnnEpsGraph, RowsAreSymmetricAscendingAndSelfFree) {
   const PointSet ps = embedding_fixture(400, 64, 17);
   KnnGraphConfig cfg;  // descent build: rows are genuinely asymmetric
   cfg.k = 8;
@@ -102,31 +104,85 @@ TEST(KnnEpsGraph, MutualEdgesAreSymmetricAndFlagsConsistent) {
           .n = 400, .dim = 64, .clusters = 5}),
       5};
   const KnnEpsGraph eps = KnnEpsGraph::build(g, params);
+  ASSERT_GT(eps.num_edges(), 0u);
 
   for (PointId i = 0; i < static_cast<PointId>(eps.size()); ++i) {
     const auto nbrs = eps.neighbors(i);
-    const auto flags = eps.edge_flags(i);
-    ASSERT_EQ(nbrs.size(), flags.size());
     for (size_t s = 0; s < nbrs.size(); ++s) {
       const PointId j = nbrs[s];
       ASSERT_NE(j, i) << "self edge";
-      if (s > 0) EXPECT_LT(nbrs[s - 1], j) << "row not ascending by id";
-      // Find i in j's row; the flag must be the mirror image.
-      const auto jn = eps.neighbors(j);
-      const auto jf = eps.edge_flags(j);
-      bool found = false;
-      for (size_t t = 0; t < jn.size(); ++t) {
-        if (jn[t] != i) continue;
-        found = true;
-        const std::uint8_t mirrored = static_cast<std::uint8_t>(
-            ((flags[s] & KnnEpsGraph::kFwd) != 0 ? KnnEpsGraph::kRev : 0) |
-            ((flags[s] & KnnEpsGraph::kRev) != 0 ? KnnEpsGraph::kFwd : 0));
-        EXPECT_EQ(jf[t], mirrored) << "i=" << i << " j=" << j;
-        break;
+      if (s > 0) {
+        EXPECT_LT(nbrs[s - 1], j) << "row not strictly ascending";
       }
-      EXPECT_TRUE(found) << "edge " << i << "->" << j << " not mirrored";
+      const auto jn = eps.neighbors(j);
+      EXPECT_TRUE(std::binary_search(jn.begin(), jn.end(), i))
+          << "edge " << i << "->" << j << " not mirrored";
     }
   }
+}
+
+// A core-core edge that only one of the two kNN rows holds still proves
+// d <= eps, so it must connect the cores exactly as in DBSCAN. Points on a
+// line (ids in brackets), eps = 15/16, minpts = 3, k = 2; every distance is
+// a dyadic rational, so hand-written rows match the exact builder bit for
+// bit:
+//
+//   a2[0] = -0.25, a1[4] = -0.125, A[1] = 0, B[2] = 0.875, b1[3] = 1.5
+//
+// A's row is {a1, a2}: B (0.875 away) does not fit. B's row is {b1, A}.
+// So A-B is in-eps in B's row only. All of a2, a1, A, B are core; b1 is a
+// border of B. Exact DBSCAN finds one cluster of all five points.
+PointSet one_way_edge_points() {
+  PointSet ps(1);
+  for (const double x : {-0.25, 0.0, 0.875, 1.5, -0.125}) {
+    const double p[1] = {x};
+    ps.add(p);
+  }
+  return ps;
+}
+
+KnnGraph one_way_edge_graph() {
+  struct Slot {
+    PointId id;
+    double d2;
+  };
+  const Slot rows[5][2] = {
+      {{4, 0.015625}, {1, 0.0625}},    // a2: a1, A
+      {{4, 0.015625}, {0, 0.0625}},    // A:  a1, a2 (B is third)
+      {{3, 0.390625}, {1, 0.765625}},  // B:  b1, A
+      {{2, 0.390625}, {1, 2.25}},      // b1: B, A (out of eps)
+      {{0, 0.015625}, {1, 0.015625}},  // a1: a2, A (tie broken by id)
+  };
+  KnnGraph g(5, 2);
+  for (PointId i = 0; i < 5; ++i) {
+    for (size_t s = 0; s < 2; ++s) {
+      g.mutable_row_ids(i)[s] = rows[i][s].id;
+      g.mutable_row_d2(i)[s] = rows[i][s].d2;
+    }
+  }
+  return g;
+}
+
+TEST(KnnOneWayEdge, CoresJoinedByOneRowFormOneCluster) {
+  const PointSet ps = one_way_edge_points();
+  const dbscan::DbscanParams params{0.9375, 3};
+  const KnnGraph g = one_way_edge_graph();
+  ASSERT_EQ(g.digest(), build_knn_graph(ps, exact_graph_cfg(2)).digest())
+      << "hand-written rows drifted from the exact builder";
+  ASSERT_FALSE(g.has_edge(1, 2));
+  ASSERT_TRUE(g.has_edge(2, 1));
+
+  const KnnEpsGraph eps = KnnEpsGraph::build(g, params);
+  EXPECT_TRUE(eps.is_core(1));
+  EXPECT_TRUE(eps.is_core(2));
+  EXPECT_FALSE(eps.is_core(3));
+
+  const KdTree tree(ps);
+  const dbscan::SeqResult exact = dbscan::dbscan_sequential(ps, tree, params);
+  ASSERT_EQ(exact.clustering.num_clusters, 1u);
+  const dbscan::Clustering approx = knn_dbscan(eps);
+  EXPECT_EQ(approx.num_clusters, 1u);
+  EXPECT_EQ(approx.labels, exact.clustering.labels);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,6 +200,9 @@ TEST(Disagreement, IdenticalClusteringsScoreZero) {
   EXPECT_EQ(r.noise_mismatches, 0u);
   EXPECT_EQ(r.disagreement_frac(), 0.0);
   EXPECT_TRUE(r.within(1.0, 0.0));
+  EXPECT_EQ(r.exact_clusters, 2u);
+  EXPECT_EQ(r.approx_clusters, 2u);
+  EXPECT_EQ(r.fragments, 0u);
 }
 
 TEST(Disagreement, CountsLabelAndNoiseMismatches) {
@@ -160,6 +219,23 @@ TEST(Disagreement, CountsLabelAndNoiseMismatches) {
   EXPECT_EQ(r.label_disagreements, 1u);  // point 2 outside the matching
   EXPECT_LT(r.ari, 1.0);
   EXPECT_FALSE(r.within(0.999, 0.0));
+  // Each exact cluster still has a majority holder: 2 of 3, and 2 of 2.
+  EXPECT_EQ(r.fragments, 0u);
+}
+
+TEST(Disagreement, CountsFragmentsWithoutAMajorityHolder) {
+  dbscan::Clustering exact, approx;
+  // Exact cluster 0 is split in half (no strict majority); cluster 1 keeps
+  // one of its three points, the other two are approx noise; cluster 2
+  // survives whole under a new label.
+  exact.labels = {0, 0, 0, 0, 1, 1, 1, 2, 2, kNoise};
+  exact.num_clusters = 3;
+  approx.labels = {3, 3, 4, 4, 5, kNoise, kNoise, 6, 6, kNoise};
+  approx.num_clusters = 4;
+  const DisagreementReport r = measure_disagreement(exact, approx);
+  EXPECT_EQ(r.exact_clusters, 3u);
+  EXPECT_EQ(r.approx_clusters, 4u);
+  EXPECT_EQ(r.fragments, 2u);
 }
 
 TEST(Disagreement, ZeroOnWellSeparatedGaussiansWithExactGraph) {
@@ -193,6 +269,8 @@ TEST(Disagreement, ZeroOnWellSeparatedGaussiansWithExactGraph) {
   EXPECT_EQ(r.noise_mismatches, 0u);
   EXPECT_EQ(r.core_mismatches, 0u);
   EXPECT_TRUE(r.within(1.0, 0.0));
+  EXPECT_EQ(r.approx_clusters, r.exact_clusters);
+  EXPECT_EQ(r.fragments, 0u);
 }
 
 TEST(Disagreement, BoundedOnEmbeddingWorkloadWithDescentGraph) {
@@ -213,6 +291,8 @@ TEST(Disagreement, BoundedOnEmbeddingWorkloadWithDescentGraph) {
       << "ari=" << r.ari << " frac=" << r.disagreement_frac()
       << " labels=" << r.label_disagreements
       << " noise=" << r.noise_mismatches;
+  EXPECT_EQ(r.fragments, 0u) << "exact=" << r.exact_clusters
+                             << " approx=" << r.approx_clusters;
 }
 
 // ---------------------------------------------------------------------------
@@ -266,6 +346,30 @@ TEST(SparkKnnBackend, MatchesSingleNodeReferenceOnD64) {
   EXPECT_GT(report.knn_eps_edges, 0u);
   EXPECT_GT(report.knn_core_points, 0u);
   EXPECT_EQ(report.knn_core_points, eps.num_core());
+}
+
+TEST(SparkKnnBackend, OneWayCoreEdgeAcrossPartitionsMatchesSingleNode) {
+  // The KnnOneWayEdge fixture with A and B owned by different partitions:
+  // the only link between the two halves is the edge in B's row.
+  const PointSet ps = one_way_edge_points();
+  const dbscan::DbscanParams params{0.9375, 3};
+  const dbscan::Partitioning part =
+      dbscan::make_partitioning(dbscan::PartitionerKind::kBlock, ps, 2);
+  ASSERT_NE(part.owner[1], part.owner[2]);
+
+  minispark::ClusterConfig ccfg;
+  ccfg.executors = 2;
+  ccfg.straggler.fraction = 0.0;
+  minispark::SparkContext ctx(ccfg);
+  dbscan::SparkDbscanConfig cfg = knn_spark_config(params, 2, 2);
+  cfg.knn.build = KnnGraphConfig::Build::kExact;
+  dbscan::SparkDbscan job(ctx, cfg);
+  const dbscan::Clustering spark = job.run(ps).clustering;
+
+  const dbscan::Clustering reference =
+      knn_dbscan(KnnEpsGraph::build(one_way_edge_graph(), params));
+  EXPECT_EQ(spark.num_clusters, 1u);
+  EXPECT_EQ(spark.labels, reference.labels);
 }
 
 TEST(SparkKnnBackend, DeterministicAcrossRunsAndPartitioners) {

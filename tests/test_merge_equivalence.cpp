@@ -352,7 +352,12 @@ TEST(MergeEquivalence, LegacyV1BlobsAbortOnBadWireMagic) {
   BinaryWriter w;
   w.write_i64(local.partition);
   w.write_u64(local.clusters.size());
-  for (const auto& pc : local.clusters) serialize(pc, w);
+  for (const auto& pc : local.clusters) {
+    w.write_u64(pc.uid);
+    w.write_i64(pc.partition);
+    w.write_i64_vec(pc.members);
+    w.write_i64_vec(pc.seeds);
+  }
   w.write_i64_vec(local.core_points);
   w.write_i64_vec(local.noise);
   const std::string raw_v1(w.buffer().data(), w.buffer().size());

@@ -114,46 +114,6 @@ void expect_equal(const dbscan::PartialCluster& a,
   EXPECT_EQ(a.seeds, b.seeds);
 }
 
-TEST(PartialClusterSerialize, SeedsAtPartitionBoundariesRoundTrip) {
-  dbscan::PartialCluster pc;
-  pc.partition = 2;
-  pc.uid = dbscan::PartialCluster::make_uid(2, 7);
-  pc.members = {10, 11, 12};
-  // SEEDs reference points OWNED BY OTHER PARTITIONS — including ids at the
-  // boundary of the id space (first point, last point).
-  pc.seeds = {0, 9, 13, 999'999'999};
-  BinaryWriter w;
-  serialize(pc, w);
-  BinaryReader r(w.buffer());
-  expect_equal(dbscan::deserialize_partial_cluster(r), pc);
-  EXPECT_TRUE(r.at_end());
-}
-
-TEST(PartialClusterSerialize, EmptyClusterRoundTrips) {
-  dbscan::PartialCluster pc;
-  pc.partition = 0;
-  pc.uid = dbscan::PartialCluster::make_uid(0, 0);
-  BinaryWriter w;
-  serialize(pc, w);
-  BinaryReader r(w.buffer());
-  expect_equal(dbscan::deserialize_partial_cluster(r), pc);
-}
-
-TEST(PartialClusterSerialize, MaxUidRoundTrips) {
-  // make_uid packs (partition << 32) | local index; saturate both halves.
-  dbscan::PartialCluster pc;
-  pc.partition = static_cast<PartitionId>(0x7fffffff);
-  pc.uid = dbscan::PartialCluster::make_uid(pc.partition, 0xffffffffu);
-  pc.members = {1};
-  BinaryWriter w;
-  serialize(pc, w);
-  BinaryReader r(w.buffer());
-  const dbscan::PartialCluster back = dbscan::deserialize_partial_cluster(r);
-  expect_equal(back, pc);
-  EXPECT_EQ(back.uid >> 32, 0x7fffffffu);
-  EXPECT_EQ(back.uid & 0xffffffffu, 0xffffffffu);
-}
-
 TEST(PartialClusterSerialize, AllNoiseLocalResultRoundTrips) {
   // A partition that found nothing: no clusters, every local point noise.
   dbscan::LocalClusterResult result;
