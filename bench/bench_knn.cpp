@@ -54,6 +54,8 @@ struct WorkloadReport {
   double knn_graph_ms = 0.0;
   u32 knn_rounds = 0;
   u64 knn_graph_evals = 0;
+  u64 knn_candidates = 0;
+  u64 knn_exact_evals = 0;
   double knn_recall = 0.0;
   double knn_eps_graph_ms = 0.0;
   double knn_cluster_ms = 0.0;
@@ -164,6 +166,8 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
   }
   r.knn_rounds = stats.rounds;
   r.knn_graph_evals = stats.distance_evals;
+  r.knn_candidates = stats.candidates;
+  r.knn_exact_evals = stats.exact_evals;
 
   // Stride-sampled recall: exact rows for ~1k query points via the
   // brute-force kernel scan. (The full n^2 exact-graph oracle would
@@ -285,11 +289,14 @@ void write_json(const std::string& path, const std::string& mode, u64 seed,
                  static_cast<unsigned long long>(r.exact_noise));
     std::fprintf(f,
                  "     \"knn\": {\"graph_ms\": %.3f, \"rounds\": %u, "
-                 "\"graph_evals\": %llu, \"recall\": %.4f, "
+                 "\"graph_evals\": %llu, \"candidates\": %llu, "
+                 "\"exact_evals\": %llu, \"recall\": %.4f, "
                  "\"eps_graph_ms\": %.3f, \"cluster_ms\": %.3f, "
                  "\"total_ms\": %.3f, \"clusters\": %llu, \"noise\": %llu},\n",
                  r.knn_graph_ms, r.knn_rounds,
                  static_cast<unsigned long long>(r.knn_graph_evals),
+                 static_cast<unsigned long long>(r.knn_candidates),
+                 static_cast<unsigned long long>(r.knn_exact_evals),
                  r.knn_recall, r.knn_eps_graph_ms, r.knn_cluster_ms,
                  r.knn_total_ms(),
                  static_cast<unsigned long long>(r.gap.approx_clusters),

@@ -1,10 +1,12 @@
 #include "knn/knn_graph.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <queue>
 #include <thread>
+#include <utility>
 
 #include "fault/injection.hpp"
 #include "geom/distance.hpp"
@@ -98,6 +100,32 @@ void parallel_chunks(size_t n, unsigned threads, Fn&& fn) {
   pool.wait_idle();
 }
 
+/// Per-chunk work tallies of one parallel pass. Each point's work is
+/// independent of the chunking, so the folded totals are thread-invariant.
+struct ChunkTally {
+  u64 updates = 0;
+  u64 evals = 0;
+  u64 exact = 0;
+  u64 drops = 0;
+  u64 candidates = 0;
+};
+
+/// Add a pass's tallies to `stats` and zero them; returns the pass's
+/// row-slot updates.
+u64 fold_tallies(std::vector<ChunkTally>& tally, KnnGraphBuildStats& stats) {
+  u64 updates = 0;
+  for (ChunkTally& t : tally) {
+    updates += t.updates;
+    stats.distance_evals += t.evals;
+    stats.exact_evals += t.exact;
+    stats.dropped_edges += t.drops;
+    stats.candidates += t.candidates;
+    t = ChunkTally{};
+  }
+  stats.updates += updates;
+  return updates;
+}
+
 /// Exact rows: brute-force strip scan per point with the kNN heap-cutoff
 /// kernel filter (the kd-tree leaf idiom — see KdTree::knn_query). One
 /// distance_eval per candidate row examined (n-1 per point: self excluded).
@@ -112,8 +140,10 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
   const simd::StripKernelFn kernel = simd::detail::strip_kernel();
   const unsigned threads = resolve_threads(cfg.threads, n);
 
-  parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t) {
+  std::vector<ChunkTally> tally(threads * 4 + 1);
+  parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
     RowHeap row;
+    u64 exact = 0;
     for (size_t p = begin; p < end; ++p) {
       const std::span<const double> q = points[static_cast<PointId>(p)];
       row.cap = cfg.k;
@@ -130,6 +160,7 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
             const auto id = static_cast<PointId>(i + j);
             if (id != static_cast<PointId>(p)) {
               row.offer(squared_distance_uncounted(q, points[id]), id);
+              ++exact;
             }
             mask &= mask - 1;
           }
@@ -138,6 +169,7 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
             const auto id = static_cast<PointId>(i + j);
             if (id == static_cast<PointId>(p)) continue;
             row.offer(squared_distance_uncounted(q, points[id]), id);
+            ++exact;
           }
         }
         i += m;
@@ -145,36 +177,10 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
       row.drain(graph.mutable_row_ids(static_cast<PointId>(p)),
                 graph.mutable_row_d2(static_cast<PointId>(p)));
     }
+    tally[chunk].evals += (end - begin) * (n - 1);
+    tally[chunk].exact += exact;
   });
-  stats.distance_evals += n * (n - 1);
-}
-
-/// Cutoff-abandoned candidate distance for the descent join: returns the
-/// exact squared distance when it is <= cutoff, or any partial sum already
-/// > cutoff once that is provable (the caller must then reject WITHOUT
-/// storing the value — the true distance is >= the partial, so the
-/// candidate is strictly worse than the cutoff slot either way). When the
-/// full sum is computed it is the same ascending unfused mul+add sequence
-/// as squared_distance_uncounted (project-wide -ffp-contract=off), so
-/// stored row values are bit-identical to the unabandoned build.
-double squared_distance_abandoned(std::span<const double> a,
-                                  std::span<const double> b, double cutoff) {
-  double s = 0.0;
-  size_t i = 0;
-  const size_t dim = a.size();
-  while (i + 8 <= dim) {
-    for (size_t j = 0; j < 8; ++j) {
-      const double d = a[i + j] - b[i + j];
-      s += d * d;
-    }
-    i += 8;
-    if (s > cutoff) return s;
-  }
-  for (; i < dim; ++i) {
-    const double d = a[i] - b[i];
-    s += d * d;
-  }
-  return s;
+  fold_tallies(tally, stats);
 }
 
 /// Sorted-row insertion for descent: keep row ascending (d2, id), return
@@ -218,6 +224,56 @@ bool row_insert(std::span<PointId> ids, std::span<double> d2s,
   return true;
 }
 
+/// Pull every cache line of a point's coordinate row toward L1 — the rows
+/// of a join block are scattered across the point set.
+void prefetch_row(std::span<const double> p) {
+  const char* bytes = reinterpret_cast<const char*>(p.data());
+  for (size_t off = 0; off < p.size_bytes(); off += 64) {
+    __builtin_prefetch(bytes + off);
+  }
+}
+
+/// Candidate set of one point's local join: an id bitmap with a one-bit-
+/// per-word summary level, plus the OR of the path new-bits per id. Adding
+/// is O(1); draining visits ids in ascending order — the order the sort +
+/// unique it replaces produced — in O(n/4096 + distinct ids), and leaves
+/// every array zeroed for the next point.
+class CandidateSet {
+ public:
+  explicit CandidateSet(size_t n)
+      : seen_((n + 63) / 64, 0), summary_((seen_.size() + 63) / 64, 0),
+        fresh_(n, 0) {}
+
+  void add(PointId c, unsigned char fresh) {
+    const auto id = static_cast<size_t>(c);
+    seen_[id >> 6] |= u64{1} << (id & 63);
+    summary_[id >> 12] |= u64{1} << ((id >> 6) & 63);
+    fresh_[id] |= fresh;
+  }
+
+  /// fn(id, fresh) once per distinct id, ascending; resets the set.
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    for (size_t s = 0; s < summary_.size(); ++s) {
+      for (u64 words = std::exchange(summary_[s], 0); words != 0;
+           words &= words - 1) {
+        const size_t w = s * 64 + static_cast<size_t>(std::countr_zero(words));
+        for (u64 bits = std::exchange(seen_[w], 0); bits != 0;
+             bits &= bits - 1) {
+          const size_t id =
+              w * 64 + static_cast<size_t>(std::countr_zero(bits));
+          fn(static_cast<PointId>(id), std::exchange(fresh_[id], 0));
+        }
+      }
+    }
+  }
+
+ private:
+  std::vector<u64> seen_;
+  std::vector<u64> summary_;
+  std::vector<unsigned char> fresh_;
+};
+
 /// NN-descent refinement (Dong et al., incremental local join): every
 /// round, each point t gathers candidates from its sampled forward +
 /// reverse neighborhood's neighborhoods (read from the PREVIOUS round's
@@ -227,9 +283,11 @@ bool row_insert(std::span<PointId> ids, std::span<double> d2s,
 void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
                    KnnGraph& graph, KnnGraphBuildStats& stats) {
   const size_t n = points.size();
+  const size_t dim = static_cast<size_t>(points.dim());
   const u32 k = cfg.k;
   const unsigned threads = resolve_threads(cfg.threads, n);
   const u64 init_seed = derive_seed(cfg.seed, "knn.init");
+  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
 
   // Per-slot new/old bits for the incremental local join (Dong et al.): a
   // slot is "new" until the round that exploits it as a join pivot, and a
@@ -242,48 +300,45 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
     return std::span<unsigned char>(new_flag.data() + p * k, k);
   };
 
-  // --- Seeded random initial rows (exact when n - 1 <= k). ---
-  std::vector<u64> chunk_evals(threads * 4 + 1, 0);
+  // --- Seeded random initial rows (n - 1 > k: the caller builds smaller
+  // inputs exactly). ---
+  std::vector<ChunkTally> tally(threads * 4 + 1);
   parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
     std::vector<PointId> picks;
-    u64 evals = 0;
     for (size_t p = begin; p < end; ++p) {
       const auto pid = static_cast<PointId>(p);
       picks.clear();
-      if (n - 1 <= k) {
-        for (size_t j = 0; j < n; ++j) {
-          if (j != p) picks.push_back(static_cast<PointId>(j));
+      // Per-point independent stream: identical rows for any threading.
+      Rng rng(init_seed ^ (0x9e3779b97f4a7c15ull * (p + 1)));
+      while (picks.size() < k) {
+        const auto c = static_cast<PointId>(rng.uniform_index(n));
+        if (c == pid) continue;
+        if (std::find(picks.begin(), picks.end(), c) != picks.end()) {
+          continue;
         }
-      } else {
-        // Per-point independent stream: identical rows for any threading.
-        Rng rng(init_seed ^ (0x9e3779b97f4a7c15ull * (p + 1)));
-        while (picks.size() < k) {
-          const auto c = static_cast<PointId>(rng.uniform_index(n));
-          if (c == pid) continue;
-          if (std::find(picks.begin(), picks.end(), c) != picks.end()) {
-            continue;
-          }
-          picks.push_back(c);
-        }
+        picks.push_back(c);
       }
       auto ids = graph.mutable_row_ids(pid);
       auto d2s = graph.mutable_row_d2(pid);
       for (const PointId c : picks) {
-        ++evals;
         row_insert(ids, d2s, row_flags(p), k,
                    squared_distance_uncounted(points[pid], points[c]), c);
       }
     }
-    chunk_evals[chunk] += evals;
+    tally[chunk].evals += (end - begin) * k;
+    tally[chunk].exact += (end - begin) * k;
   });
-  for (const u64 e : chunk_evals) stats.distance_evals += e;
-
-  if (n - 1 <= k) return;  // rows are already exact
+  fold_tallies(tally, stats);
 
   // --- Refinement rounds. ---
   std::vector<PointId> prev_ids;
   std::vector<unsigned char> prev_flag;
-  std::vector<std::vector<std::pair<PointId, unsigned char>>> rev(n);
+  // Reverse neighbors in fixed-stride rows of `sample` slots, with the
+  // edge's new bit alongside and the fill count per point.
+  const size_t rs = cfg.sample;
+  std::vector<PointId> rev_ids(n * rs);
+  std::vector<unsigned char> rev_flag(n * rs);
+  std::vector<u32> rev_len(n);
   const u64 target_slots = static_cast<u64>(n) * k;
   for (u32 round = 0; round < cfg.max_rounds; ++round) {
     ++stats.rounds;
@@ -304,31 +359,32 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
     // they have now been fully exploited as pivots, and only a future
     // insertion may make them new again. Capped-out rev edges keep their
     // bit and retry in a later round.
-    for (auto& r : rev) r.clear();
+    std::fill(rev_len.begin(), rev_len.end(), 0u);
     const u32 fwd_sample = std::min(k, cfg.sample);
     for (size_t p = 0; p < n; ++p) {
       for (u32 s = 0; s < k; ++s) {
         const PointId j = prev_ids[p * k + s];
         if (j == kNoNeighbor) break;
-        auto& r = rev[static_cast<size_t>(j)];
-        if (r.size() < cfg.sample) {
-          r.emplace_back(static_cast<PointId>(p), prev_flag[p * k + s]);
+        u32& len = rev_len[static_cast<size_t>(j)];
+        if (len < rs) {
+          rev_ids[static_cast<size_t>(j) * rs + len] = static_cast<PointId>(p);
+          rev_flag[static_cast<size_t>(j) * rs + len] = prev_flag[p * k + s];
+          ++len;
           new_flag[p * k + s] = 0;
         }
         if (s < fwd_sample) new_flag[p * k + s] = 0;
       }
     }
 
-    std::vector<u64> chunk_updates(threads * 4 + 1, 0);
-    std::vector<u64> chunk_evals2(threads * 4 + 1, 0);
-    std::vector<u64> chunk_drops(threads * 4 + 1, 0);
     parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
+      ChunkTally tl;
       // B(t): sampled fwd + rev neighbors, each with its edge's new bit.
       std::vector<std::pair<PointId, unsigned char>> bucket;
-      std::vector<std::pair<PointId, unsigned char>> candidates;
-      u64 updates = 0;
-      u64 evals = 0;
-      u64 drops = 0;
+      CandidateSet candidates(n);
+      // One join block: queued candidate ids and their rows transposed
+      // into one strip for the kernel.
+      std::array<PointId, kDistanceStrip> block{};
+      std::vector<double> strip(kDistanceStrip * dim, 0.0);
       for (size_t t = begin; t < end; ++t) {
         const auto tid = static_cast<PointId>(t);
         bucket.clear();
@@ -337,79 +393,87 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
           if (j == kNoNeighbor) break;
           bucket.emplace_back(j, prev_flag[t * k + s]);
         }
-        for (const auto& [j, f] : rev[t]) bucket.emplace_back(j, f);
+        for (u32 r = 0; r < rev_len[t]; ++r) {
+          bucket.emplace_back(rev_ids[t * rs + r], rev_flag[t * rs + r]);
+        }
 
         // A candidate (t, c) reached through pivot edges (t~j, j~c) is
         // evaluated only if at least one of the two edges is new — an
         // old/old pair was already proposed the round both edges turned
         // old. Duplicates keep the OR of their path bits.
-        candidates.clear();
         for (const auto& [j, fj] : bucket) {
-          candidates.emplace_back(j, fj);  // rev members may beat the row
+          candidates.add(j, fj);  // rev members may beat the row
+          ++tl.candidates;
           const size_t jb = static_cast<size_t>(j) * k;
           for (u32 s = 0; s < fwd_sample; ++s) {
             const PointId c = prev_ids[jb + s];
             if (c == kNoNeighbor) break;
-            candidates.emplace_back(
-                c, static_cast<unsigned char>(fj | prev_flag[jb + s]));
+            candidates.add(c,
+                           static_cast<unsigned char>(fj | prev_flag[jb + s]));
+            ++tl.candidates;
           }
-          for (const auto& [c, fc] : rev[static_cast<size_t>(j)]) {
-            candidates.emplace_back(c,
-                                    static_cast<unsigned char>(fj | fc));
+          const size_t jr = static_cast<size_t>(j) * rs;
+          const u32 jlen = rev_len[static_cast<size_t>(j)];
+          for (u32 r = 0; r < jlen; ++r) {
+            candidates.add(rev_ids[jr + r],
+                           static_cast<unsigned char>(fj | rev_flag[jr + r]));
           }
+          tl.candidates += jlen;
         }
-        std::sort(candidates.begin(), candidates.end(),
-                  [](const auto& a, const auto& b) {
-                    return a.first != b.first ? a.first < b.first
-                                              : a.second > b.second;
-                  });
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end(),
-                        [](const auto& a, const auto& b) {
-                          return a.first == b.first;
-                        }),
-            candidates.end());
 
+        const std::span<const double> q = points[tid];
         auto ids = graph.mutable_row_ids(tid);
         auto d2s = graph.mutable_row_d2(tid);
         const auto flags = row_flags(t);
-        for (const auto& [c, fresh] : candidates) {
-          if (c == tid) continue;
-          if (!fresh) continue;  // old/old pair: already proposed before
+        size_t queued = 0;
+        // Evaluate the queued block. A full row filters it through the
+        // strip kernel with its worst d2 at block start as the cutoff: the
+        // row only improves while the block is applied, so every candidate
+        // row_insert could accept is in the mask. Survivors get the exact
+        // distance (bit-identical to the kernel's lane sums) and meet
+        // row_insert's worst-slot check against the row as it is now.
+        const auto flush = [&] {
+          u32 mask = static_cast<u32>((u64{1} << queued) - 1);
+          if (ids[k - 1] != kNoNeighbor) {
+            for (size_t l = 0; l < queued; ++l) {
+              strip_store_row(strip.data(), l, points[block[l]]);
+            }
+            mask = kernel(q.data(), dim, d2s[k - 1], strip.data(), queued);
+          }
+          for (; mask != 0; mask &= mask - 1) {
+            const PointId c =
+                block[static_cast<size_t>(std::countr_zero(mask))];
+            ++tl.exact;
+            if (row_insert(ids, d2s, flags, k,
+                           squared_distance_uncounted(q, points[c]), c)) {
+              ++tl.updates;
+            }
+          }
+          queued = 0;
+        };
+        candidates.drain([&](PointId c, unsigned char fresh) {
+          if (c == tid) return;
+          if (!fresh) return;  // old/old pair: already proposed before
           // Fault site: drop this candidate edge on the floor. NN-descent
           // is self-healing — later rounds re-propose surviving paths — so
           // a faulted build still converges to a usable graph (pinned by
           // the knn chaos cells).
           if (SDB_INJECT("knn.graph.drop_edge")) {
-            ++drops;
-            continue;
+            ++tl.drops;
+            return;
           }
-          ++evals;
-          // A full row's worst slot bounds what can still matter: abandon
-          // the distance once the partial sum exceeds it, and reject
-          // without touching the row (strictly worse than the worst slot
-          // no matter the tie-break id). One eval is charged per candidate
-          // examined regardless — the unified counter contract.
-          const double cutoff = ids[k - 1] != kNoNeighbor
-                                    ? d2s[k - 1]
-                                    : std::numeric_limits<double>::infinity();
-          const double d2 = squared_distance_abandoned(points[tid],
-                                                       points[c], cutoff);
-          if (d2 > cutoff) continue;
-          if (row_insert(ids, d2s, flags, k, d2, c)) {
-            ++updates;
-          }
-        }
+          // One eval is charged per candidate examined, filtered or not —
+          // the unified counter contract.
+          ++tl.evals;
+          prefetch_row(points[c]);
+          block[queued++] = c;
+          if (queued == kDistanceStrip) flush();
+        });
+        if (queued != 0) flush();
       }
-      chunk_updates[chunk] += updates;
-      chunk_evals2[chunk] += evals;
-      chunk_drops[chunk] += drops;
+      tally[chunk] = tl;
     });
-    u64 round_updates = 0;
-    for (const u64 u : chunk_updates) round_updates += u;
-    for (const u64 e : chunk_evals2) stats.distance_evals += e;
-    for (const u64 d : chunk_drops) stats.dropped_edges += d;
-    stats.updates += round_updates;
+    const u64 round_updates = fold_tallies(tally, stats);
     if (static_cast<double>(round_updates) <
         cfg.termination_frac * static_cast<double>(target_slots)) {
       break;

@@ -12,11 +12,13 @@
 //
 // Graph layout: flat rows of k slots per point — neighbor_ids / neighbor_d2
 // — each row sorted ascending by (d2, id) with kNoNeighbor padding. Rows
-// never contain the point itself. The builder evaluates candidates over the
-// same strip-transposed (SoA) snapshot + runtime-dispatched SIMD kernels as
-// the spatial indexes (distance_simd.hpp), using the kNN heap-cutoff filter
-// idiom from the kd-tree leaf scan, so graph distances are bit-identical to
-// the scalar reference on every host.
+// never contain the point itself. Both builders filter candidates through
+// the runtime-dispatched SIMD strip kernels of the spatial indexes
+// (distance_simd.hpp) with the row's worst distance as the cutoff — the
+// kd-tree leaf scan's kNN idiom. The exact build streams a strip-transposed
+// copy of all points; the descent join transposes each block of 32 gathered
+// candidates into a small strip first. Survivors get the scalar reference
+// distance, so graph distances are bit-identical on every host.
 //
 // Determinism: both builders are bit-deterministic for a given (points,
 // config) INCLUDING config.threads — exact rows are independent per point,
@@ -138,6 +140,13 @@ struct KnnGraphBuildStats {
   u64 updates = 0;         ///< row-slot improvements applied (descent)
   u64 distance_evals = 0;  ///< candidate pairs evaluated
   u64 dropped_edges = 0;   ///< candidates skipped by knn.graph.drop_edge
+  /// Descent: join pairs gathered before dedup (0 for exact). Against the
+  /// join's share of distance_evals this is the dedup's waste.
+  u64 candidates = 0;
+  /// Evaluated pairs that got a full squared distance: strip-kernel
+  /// survivors, plus pairs evaluated against a short row (no cutoff yet).
+  /// Against distance_evals this is the kernel filter's yield.
+  u64 exact_evals = 0;
 };
 
 /// Build the kNN graph of `points` per `cfg`. Charges one distance_eval per

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.hpp"
@@ -174,20 +175,100 @@ TEST(KnnGraphDescent, RowsAreSortedSelfFreeAndDuplicateFree) {
 }
 
 TEST(KnnGraphDescent, BitDeterministicAcrossThreadCounts) {
-  const PointSet ps = embedding_fixture(1200, 64, 55);
+  // n must reach the builder's 4096-point parallel threshold, or every
+  // thread count below runs the one-chunk sequential path.
+  const PointSet ps = embedding_fixture(4200, 16, 55);
   for (const auto build :
        {KnnGraphConfig::Build::kExact, KnnGraphConfig::Build::kDescent}) {
     KnnGraphConfig cfg;
     cfg.k = 12;
     cfg.build = build;
     cfg.threads = 1;
-    const u64 base = build_knn_graph(ps, cfg).digest();
+    KnnGraphBuildStats base_stats;
+    const u64 base = build_knn_graph(ps, cfg, &base_stats).digest();
+    EXPECT_GT(base_stats.exact_evals, 0u);
+    EXPECT_LE(base_stats.exact_evals, base_stats.distance_evals);
+    if (build == KnnGraphConfig::Build::kDescent) {
+      EXPECT_GT(base_stats.candidates, base_stats.distance_evals);
+    }
     for (const unsigned threads : {0u, 2u, 4u, 7u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " build=" + std::to_string(static_cast<int>(build)));
       cfg.threads = threads;
-      EXPECT_EQ(build_knn_graph(ps, cfg).digest(), base)
-          << "threads=" << threads << " build=" << static_cast<int>(build);
+      KnnGraphBuildStats stats;
+      EXPECT_EQ(build_knn_graph(ps, cfg, &stats).digest(), base);
+      EXPECT_EQ(stats.distance_evals, base_stats.distance_evals);
+      EXPECT_EQ(stats.candidates, base_stats.candidates);
+      EXPECT_EQ(stats.exact_evals, base_stats.exact_evals);
+      EXPECT_EQ(stats.rounds, base_stats.rounds);
+      EXPECT_EQ(stats.updates, base_stats.updates);
     }
   }
+}
+
+/// Literal descent outputs, recorded from the sort + unique join with
+/// scalar abandoned distances. Any rewrite of the join must reproduce them:
+/// a change to the candidate set, evaluation order, cutoff handling or
+/// termination moves at least one. The inputs come from Rng's standard-
+/// library distributions (std::normal_distribution, uniform_int_distribution),
+/// so the literals are libstdc++'s.
+struct PinnedDescent {
+  const char* what;
+  i64 n;
+  int dim;
+  u32 k;
+  u32 sample;
+  u64 fixture_seed;
+  u64 digest;
+  u64 distance_evals;
+  u32 rounds;
+  u64 updates;
+};
+
+TEST(KnnGraphDescent, DigestPinnedToParent) {
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "pinned values assume libstdc++'s random distributions";
+#endif
+  const PinnedDescent cases[] = {
+      {"d64 k32 sample16", 2000, 64, 32, 16, 3, 0x317f3ac38a4384a3ull,
+       2463133, 4, 273089},
+      {"low-d", 2000, 4, 10, 16, 17, 0x29214d7b2ff7bb37ull, 1090061, 4,
+       108248},
+      {"k > sample", 1500, 32, 12, 8, 23, 0x4589cc2a8db54c24ull, 715994, 6,
+       84774},
+  };
+  for (const PinnedDescent& c : cases) {
+    SCOPED_TRACE(c.what);
+    const PointSet ps = embedding_fixture(c.n, c.dim, c.fixture_seed);
+    KnnGraphConfig cfg;
+    cfg.k = c.k;
+    cfg.sample = c.sample;
+    KnnGraphBuildStats stats;
+    const KnnGraph g = build_knn_graph(ps, cfg, &stats);
+    EXPECT_EQ(g.digest(), c.digest);
+    EXPECT_EQ(stats.distance_evals, c.distance_evals);
+    EXPECT_EQ(stats.rounds, c.rounds);
+    EXPECT_EQ(stats.updates, c.updates);
+  }
+#ifdef SDB_FAULT_INJECTION
+  {
+    // One thread under a drop_edge plan: the fault log pins the order in
+    // which candidates reach the fault site, not just the final graph.
+    SCOPED_TRACE("drop_edge plan");
+    const PointSet ps = embedding_fixture(900, 64, 31);
+    KnnGraphConfig cfg;
+    cfg.k = 12;
+    cfg.threads = 1;
+    fault::ScopedFaultPlan chaos(
+        "seed=5;knn.graph.drop_edge:p=0.02,budget=500");
+    KnnGraphBuildStats stats;
+    const KnnGraph g = build_knn_graph(ps, cfg, &stats);
+    EXPECT_EQ(g.digest(), 0x7453be7d9b5ab93bull);
+    EXPECT_EQ(stats.distance_evals, 582826u);
+    EXPECT_EQ(stats.dropped_edges, 500u);
+    EXPECT_EQ(chaos.plan().log_digest(), 0x5015fbf152a449bdull);
+  }
+#endif
 }
 
 TEST(KnnGraphDescent, SeedChangesInitButConvergesToSimilarQuality) {
