@@ -5,8 +5,9 @@
 // and on the optimized path (thread-pool parallel build, leaf-contiguous
 // layout, blocked distance kernel):
 //   build  — kd-tree construction wall time;
-//   query  — exact range-query throughput through the executor's
-//            range_query_budgeted entry point;
+//   query  — exact range-query throughput through range_query_budgeted,
+//            plus a batched arm through range_query_batch (the executor's
+//            entry point) checked list-for-list against it;
 //   e2e    — the full spark_dbscan pipeline wall time.
 // Results print as tables and are also written as machine-readable JSON
 // (schema documented in README "Hot-path bench") so every future PR can
@@ -41,6 +42,7 @@ struct QueryNumbers {
   double legacy_qps = 0.0;
   double blocked_qps = 0.0;
   double scalar_qps = 0.0;  ///< blocked layout, forced-scalar kernel
+  double batch_qps = 0.0;   ///< blocked layout, one range_query_batch call
   u64 distance_evals_legacy = 0;
   u64 distance_evals_blocked = 0;
   u64 distance_evals_scalar = 0;
@@ -155,6 +157,41 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
             "forced-scalar rerun must evaluate the same candidates");
   SDB_CHECK(scalar_neighbors == blocked_neighbors,
             "forced-scalar rerun must find the same neighbors");
+
+  // Batched arm: the same query points answered by one range_query_batch
+  // call (blocks of kDistanceStrip queries sharing a tree walk). Its lists
+  // and counters must equal the per-query arm's exactly.
+  std::vector<PointId> ids;
+  for (size_t i = 0; ids.size() < queries && i < points.size(); i += stride) {
+    ids.push_back(static_cast<PointId>(i));
+  }
+  NeighborhoodCsr reference;
+  reference.offsets.push_back(0);
+  WorkCounters reference_wc;
+  {
+    ScopedCounters scope(&reference_wc);
+    for (const PointId id : ids) {
+      blocked.range_query_budgeted(points[id], eps, QueryBudget{},
+                                   reference.ids);
+      reference.offsets.push_back(reference.ids.size());
+    }
+  }
+  NeighborhoodCsr batch;
+  for (int rep = 0; rep < reps; ++rep) {
+    WorkCounters wc;
+    Stopwatch sw;
+    {
+      ScopedCounters scope(&wc);
+      blocked.range_query_batch(ids, eps, QueryBudget{}, batch);
+    }
+    out.batch_qps = std::max(
+        out.batch_qps, static_cast<double>(ids.size()) / sw.seconds());
+    SDB_CHECK(wc.distance_evals == reference_wc.distance_evals &&
+                  wc.tree_nodes == reference_wc.tree_nodes,
+              "batched queries must charge the per-query counters");
+  }
+  SDB_CHECK(batch.ids == reference.ids && batch.offsets == reference.offsets,
+            "batched queries must return the per-query lists");
   return out;
 }
 
@@ -287,13 +324,15 @@ void write_json(const std::string& path, const std::string& mode,
                  "     \"query\": {\"queries\": %llu, \"legacy_qps\": %.1f, "
                  "\"blocked_qps\": %.1f, \"speedup\": %.3f, "
                  "\"scalar_qps\": %.1f, \"simd_speedup\": %.3f, "
+                 "\"batch_qps\": %.1f, \"batch_speedup\": %.3f, "
                  "\"neighbors\": %llu,\n"
                  "               \"distance_evals_legacy\": %llu, "
                  "\"distance_evals_blocked\": %llu}",
                  static_cast<unsigned long long>(r.query.queries),
                  r.query.legacy_qps, r.query.blocked_qps,
                  r.query.blocked_qps / r.query.legacy_qps, r.query.scalar_qps,
-                 r.query.blocked_qps / r.query.scalar_qps,
+                 r.query.blocked_qps / r.query.scalar_qps, r.query.batch_qps,
+                 r.query.batch_qps / r.query.blocked_qps,
                  static_cast<unsigned long long>(r.query.neighbors),
                  static_cast<unsigned long long>(r.query.distance_evals_legacy),
                  static_cast<unsigned long long>(
@@ -441,6 +480,10 @@ int main(int argc, char** argv) {
         {"query scalar-kernel (q/s)", TablePrinter::cell(r.query.scalar_qps, 0),
          TablePrinter::cell(r.query.blocked_qps, 0),
          TablePrinter::cell(r.query.blocked_qps / r.query.scalar_qps, 2)});
+    table.add_row(
+        {"query batched (q/s)", TablePrinter::cell(r.query.blocked_qps, 0),
+         TablePrinter::cell(r.query.batch_qps, 0),
+         TablePrinter::cell(r.query.batch_qps / r.query.blocked_qps, 2)});
     if (r.has_e2e) {
       table.add_row(
           {"e2e wall (s)", TablePrinter::cell(r.e2e.legacy_wall_s, 2),

@@ -7,10 +7,12 @@
 // locality comes from expanding only points owned by this partition.
 // Foreign points reached by the frontier become SEEDs.
 //
-// One sweep (local_sweep below) serves both backends. local_dbscan feeds it
-// eps-range queries against the broadcast spatial index;
-// knn::local_knn_dbscan feeds it rows of the broadcast eps-graph. The two
-// differ only in where a neighborhood comes from.
+// One sweep (local_sweep below) serves both backends, and both feed it CSR
+// rows. local_dbscan answers every local point's eps-range query up front
+// with one SpatialIndex::range_query_batch call against the broadcast index
+// (the kd-tree walks blocks of 32 queries together); knn::local_knn_dbscan
+// reads rows of the broadcast eps-graph. The two differ only in where a
+// neighborhood comes from.
 //
 // Data structures follow the paper's Section III.B choices: a hash table for
 // the visited/processed check (put/containsKey are the counted hash_ops) and
@@ -53,9 +55,10 @@ struct LocalDbscanConfig {
 };
 
 /// Cluster the points of partition `partition` (per `partitioning`) using a
-/// spatial index over the full dataset: local_sweep with eps-range queries
-/// as the neighborhood source. Pure function of its inputs — exactly what
-/// makes it a valid RDD task body.
+/// spatial index built over `points` (the full dataset): local_sweep over
+/// the partition's batched eps-neighborhoods. Labels and work counters equal
+/// a sweep with one range_query_budgeted call per point. Pure function of
+/// its inputs — exactly what makes it a valid RDD task body.
 LocalClusterResult local_dbscan(const PointSet& points,
                                 const SpatialIndex& index,
                                 const Partitioning& partitioning,
@@ -72,7 +75,7 @@ struct Neighborhood {
 
 /// The executor sweep shared by both backends: Algorithm 2's BFS over the
 /// points of `partition`, with Algorithm 3's SEED placement for foreign
-/// points. `source(p)` returns p's Neighborhood and is called at most once
+/// points. `source(p)` returns p's Neighborhood and is called exactly once
 /// per local point.
 template <class Source>
 LocalClusterResult local_sweep(const Partitioning& partitioning,

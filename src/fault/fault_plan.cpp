@@ -76,6 +76,10 @@ bool maybe_inject(std::string_view site) {
   return plan->should_fire(site);
 }
 
+bool plan_installed() {
+  return g_active.load(std::memory_order_relaxed) != nullptr;
+}
+
 namespace {
 
 /// Default crash semantics: the process dies the way `kill -9` kills it —

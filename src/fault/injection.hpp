@@ -30,6 +30,12 @@ namespace sdb::fault {
 /// installed.
 bool maybe_inject(std::string_view site);
 
+/// True when a FaultPlan is installed. A hot loop reads it once per chunk
+/// of work and skips its SDB_INJECT sites when it is false. With a plan
+/// installed the loop still calls SDB_INJECT once per hit, in order, so
+/// the plan's hit counts and log are what they would be without the check.
+bool plan_installed();
+
 /// --- crash points (process-death injection) ---
 ///
 /// A crash point marks a byte-exact place where a process may die: between

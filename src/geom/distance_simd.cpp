@@ -1,5 +1,7 @@
 #include "geom/distance_simd.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <cstring>
 
@@ -7,6 +9,7 @@ namespace sdb::simd {
 namespace detail {
 
 std::atomic<StripKernelFn> g_strip{nullptr};
+std::atomic<BoxKernelFn> g_box{nullptr};
 
 std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count) {
@@ -26,15 +29,38 @@ std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
   return mask;
 }
 
+std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
+                         const double* box, std::uint32_t active) {
+  std::uint32_t mask = 0;
+  for (; active != 0; active &= active - 1) {
+    const int j = std::countr_zero(active);
+    const double* col = qs + j;
+    double s = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double q = col[d * kDistanceStrip];
+      const double diff =
+          std::max(std::max(box[2 * d] - q, q - box[2 * d + 1]), 0.0);
+      s += diff * diff;
+      if (s > eps2) break;  // monotone: the decision is already made
+    }
+    if (s <= eps2) mask |= std::uint32_t{1} << j;
+  }
+  return mask;
+}
+
 #if SDB_HAVE_AVX2
 // Defined in distance_simd_avx2.cpp (compiled with -mavx2 only).
 std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
                          const double* lanes, size_t count);
+std::uint32_t box_avx2(const double* qs, size_t dim, double eps2,
+                       const double* box, std::uint32_t active);
 #endif
 #if SDB_HAVE_AVX512
 // Defined in distance_simd_avx512.cpp (compiled with -mavx512f only).
 std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count);
+std::uint32_t box_avx512(const double* qs, size_t dim, double eps2,
+                         const double* box, std::uint32_t active);
 #endif
 #if SDB_HAVE_NEON
 // Defined in distance_simd_neon.cpp.
@@ -55,29 +81,35 @@ bool env_forces_scalar() {
          std::strcmp(v, "0") == 0;
 }
 
-StripKernelFn best_kernel() {
+struct Kernels {
+  StripKernelFn strip;
+  BoxKernelFn box;
+};
+
+Kernels best_kernels() {
   if (g_forced_scalar.load(std::memory_order_relaxed) || env_forces_scalar()) {
-    return &strip_scalar;
+    return {&strip_scalar, &box_scalar};
   }
 #if SDB_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512f")) return &strip_avx512;
+  if (__builtin_cpu_supports("avx512f")) return {&strip_avx512, &box_avx512};
 #endif
 #if SDB_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2")) return &strip_avx2;
+  if (__builtin_cpu_supports("avx2")) return {&strip_avx2, &box_avx2};
 #endif
 #if SDB_HAVE_NEON
-  // NEON is baseline on aarch64; no runtime probe needed.
-  return &strip_neon;
+  // NEON is baseline on aarch64; no runtime probe needed. The box kernel
+  // takes the scalar path there.
+  return {&strip_neon, &box_scalar};
 #endif
-  return &strip_scalar;
+  return {&strip_scalar, &box_scalar};
 }
 
 }  // namespace
 
-StripKernelFn resolve() {
-  const StripKernelFn fn = best_kernel();
-  g_strip.store(fn, std::memory_order_relaxed);
-  return fn;
+void resolve() {
+  const Kernels k = best_kernels();
+  g_strip.store(k.strip, std::memory_order_relaxed);
+  g_box.store(k.box, std::memory_order_relaxed);
 }
 
 }  // namespace detail

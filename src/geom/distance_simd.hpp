@@ -45,7 +45,12 @@
 // neighbor-budgeted scans reconstruct the scalar loop's exact stop row and
 // distance_evals charge from the mask (strip_scan_budgeted, distance.hpp).
 //
-// Dispatch: the kernel is a function pointer resolved on first use — CPU
+// Box kernel: the kd-tree's batched walk (KdTree::range_query_batch) tests
+// a block of up to 32 queries, stored in the same strip layout, against one
+// node box per call (BoxKernelFn below). Same rules: ascending d, unfused,
+// monotone abandonment, decisions bit-identical to the scalar box test.
+//
+// Dispatch: the kernels are function pointers resolved on first use — CPU
 // feature detection (AVX-512F then AVX2 on x86-64, NEON on aarch64) gated by the
 // SDB_SIMD cmake option, the SDB_SIMD=scalar environment variable, and the
 // force_scalar() test hook. The scalar fallback is always compiled, so a
@@ -85,27 +90,54 @@ using StripKernelFn = std::uint32_t (*)(const double* q, size_t dim,
                                         double eps2, const double* lanes,
                                         size_t count);
 
+/// fn(qs, dim, eps2, box, active) -> mask: the box test of a block of up
+/// to kDistanceStrip queries against one axis-aligned box.
+///   bit j of the result is set iff bit j of `active` is set and
+///   sum_d max(max(box[2d] - qs[d * kDistanceStrip + j],
+///                 qs[d * kDistanceStrip + j] - box[2d + 1]), 0)^2 <= eps2.
+/// `qs` is one full strip block of query coordinates (dimension-major, all
+/// kDistanceStrip lanes finite, inactive lanes included); `box` is
+/// interleaved [lo0, hi0, lo1, hi1, ...]. Every variant accumulates in
+/// ascending d with unfused multiply and add, so the decisions are
+/// bit-identical to the kd-tree's scalar box_distance2 test.
+using BoxKernelFn = std::uint32_t (*)(const double* qs, size_t dim,
+                                      double eps2, const double* box,
+                                      std::uint32_t active);
+
 namespace detail {
 
-/// The dispatched kernel; null until first resolution. Relaxed atomics: all
-/// candidate values are interchangeable (bit-identical results), so racing
-/// initializations are benign.
+/// The dispatched kernels; null until first resolution. Relaxed atomics:
+/// all candidate values are interchangeable (bit-identical results), so
+/// racing initializations are benign.
 extern std::atomic<StripKernelFn> g_strip;
+extern std::atomic<BoxKernelFn> g_box;
 
-/// Scalar reference implementation — always built, and the ground truth the
-/// vector variants are tested bit-equal against.
+/// Scalar reference implementations — always built, and the ground truth
+/// the vector variants are tested bit-equal against.
 std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count);
+std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
+                         const double* box, std::uint32_t active);
 
-/// CPU detection + SDB_SIMD env + force_scalar() -> best kernel. Stores the
-/// choice in g_strip and returns it.
-StripKernelFn resolve();
+/// CPU detection + SDB_SIMD env + force_scalar() -> best variant. Stores
+/// its kernels in g_strip and g_box.
+void resolve();
 
 /// The active strip kernel (resolving on first use). Fetch once per query,
 /// not per strip, to keep the atomic load off the inner loop.
 inline StripKernelFn strip_kernel() {
   StripKernelFn fn = g_strip.load(std::memory_order_relaxed);
-  return fn != nullptr ? fn : resolve();
+  if (fn != nullptr) return fn;
+  resolve();
+  return g_strip.load(std::memory_order_relaxed);
+}
+
+/// The active box kernel, from the same variant as strip_kernel().
+inline BoxKernelFn box_kernel() {
+  BoxKernelFn fn = g_box.load(std::memory_order_relaxed);
+  if (fn != nullptr) return fn;
+  resolve();
+  return g_box.load(std::memory_order_relaxed);
 }
 
 }  // namespace detail

@@ -12,6 +12,9 @@
 // eps test exactly; abandonment changes how much memory the kernel reads —
 // decisive when the strip working set exceeds cache — never the answer.
 //
+// The box kernel (box_avx2) tests a 32-lane query block against one
+// kd-tree node box in eight 4-wide groups, same no-FMA rule.
+//
 // Only selected when __builtin_cpu_supports("avx2") at dispatch time, so
 // building this TU on any x86-64 toolchain is safe even for older hosts.
 #include "geom/distance_simd.hpp"
@@ -141,7 +144,59 @@ inline std::uint32_t strip_avx2_partial(const double* q, size_t dim,
   return mask;
 }
 
+/// One box-kernel group: +inf in the lanes whose `bits` are clear, 0 in
+/// the rest (inactive lanes never hold the abandonment min down and compare
+/// false at the end).
+inline __m256d box_group_init(std::uint32_t bits) {
+  const __m256i sel = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256i on = _mm256_cmpeq_epi64(
+      _mm256_and_si256(_mm256_set1_epi64x(bits & 0xF), sel), sel);
+  return _mm256_blendv_pd(
+      _mm256_set1_pd(std::numeric_limits<double>::infinity()),
+      _mm256_setzero_pd(), _mm256_castsi256_pd(on));
+}
+
 }  // namespace
+
+std::uint32_t box_avx2(const double* qs, size_t dim, double eps2,
+                       const double* box, std::uint32_t active) {
+  __m256d acc[kDistanceStrip / 4];
+  for (size_t g = 0; g < kDistanceStrip / 4; ++g) {
+    acc[g] = box_group_init(active >> (4 * g));
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d veps = _mm256_set1_pd(eps2);
+  for (size_t d = 0; d < dim; ++d) {
+    const __m256d lo = _mm256_broadcast_sd(box + 2 * d);
+    const __m256d hi = _mm256_broadcast_sd(box + 2 * d + 1);
+    const double* row = qs + d * kDistanceStrip;
+    for (size_t g = 0; g < kDistanceStrip / 4; ++g) {
+      // max(max(lo - q, q - hi), 0): the same clamp, in the same order, as
+      // the scalar box test (a signed zero squares away).
+      const __m256d q = _mm256_loadu_pd(row + 4 * g);
+      const __m256d e = _mm256_max_pd(
+          _mm256_max_pd(_mm256_sub_pd(lo, q), _mm256_sub_pd(q, hi)), zero);
+      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(e, e));
+    }
+    if (abandon_probe_due(d, dim)) {
+      const __m256d m = _mm256_min_pd(
+          _mm256_min_pd(_mm256_min_pd(acc[0], acc[1]),
+                        _mm256_min_pd(acc[2], acc[3])),
+          _mm256_min_pd(_mm256_min_pd(acc[4], acc[5]),
+                        _mm256_min_pd(acc[6], acc[7])));
+      if (_mm256_movemask_pd(_mm256_cmp_pd(m, veps, _CMP_LE_OQ)) == 0) {
+        return 0;
+      }
+    }
+  }
+  std::uint32_t mask = 0;
+  for (size_t g = 0; g < kDistanceStrip / 4; ++g) {
+    mask |= static_cast<std::uint32_t>(_mm256_movemask_pd(
+                _mm256_cmp_pd(acc[g], veps, _CMP_LE_OQ)))
+            << (4 * g);
+  }
+  return mask;
+}
 
 std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
                          const double* lanes, size_t count) {

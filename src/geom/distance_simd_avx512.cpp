@@ -8,6 +8,9 @@
 // decision bits directly, and masked loads make the ragged tail group
 // fault-free without a separate maskload constant.
 //
+// The box kernel (box_avx512) tests a 32-lane query block against one
+// kd-tree node box with the same accumulator shape.
+//
 // Only selected when __builtin_cpu_supports("avx512f") at dispatch time,
 // so building this TU on any x86-64 toolchain is safe for older hosts.
 #include "geom/distance_simd.hpp"
@@ -117,6 +120,59 @@ inline std::uint32_t strip_avx512_partial(const double* q, size_t dim,
 }
 
 }  // namespace
+
+std::uint32_t box_avx512(const double* qs, size_t dim, double eps2,
+                         const double* box, std::uint32_t active) {
+  // Inactive lanes accumulate from +inf: they never hold the abandonment
+  // min down and compare false at the end.
+  const __m512d inf = _mm512_set1_pd(std::numeric_limits<double>::infinity());
+  const __m512d zero = _mm512_setzero_pd();
+  __m512d a0 = _mm512_mask_mov_pd(inf, static_cast<__mmask8>(active), zero);
+  __m512d a1 =
+      _mm512_mask_mov_pd(inf, static_cast<__mmask8>(active >> 8), zero);
+  __m512d a2 =
+      _mm512_mask_mov_pd(inf, static_cast<__mmask8>(active >> 16), zero);
+  __m512d a3 =
+      _mm512_mask_mov_pd(inf, static_cast<__mmask8>(active >> 24), zero);
+  const __m512d veps = _mm512_set1_pd(eps2);
+  for (size_t d = 0; d < dim; ++d) {
+    const __m512d lo = _mm512_set1_pd(box[2 * d]);
+    const __m512d hi = _mm512_set1_pd(box[2 * d + 1]);
+    const double* row = qs + d * kDistanceStrip;
+    const __m512d q0 = _mm512_loadu_pd(row + 0);
+    const __m512d q1 = _mm512_loadu_pd(row + 8);
+    const __m512d q2 = _mm512_loadu_pd(row + 16);
+    const __m512d q3 = _mm512_loadu_pd(row + 24);
+    // max(max(lo - q, q - hi), 0): the same clamp, in the same order, as
+    // the scalar box test (a signed zero squares away).
+    const __m512d e0 = _mm512_max_pd(
+        _mm512_max_pd(_mm512_sub_pd(lo, q0), _mm512_sub_pd(q0, hi)), zero);
+    const __m512d e1 = _mm512_max_pd(
+        _mm512_max_pd(_mm512_sub_pd(lo, q1), _mm512_sub_pd(q1, hi)), zero);
+    const __m512d e2 = _mm512_max_pd(
+        _mm512_max_pd(_mm512_sub_pd(lo, q2), _mm512_sub_pd(q2, hi)), zero);
+    const __m512d e3 = _mm512_max_pd(
+        _mm512_max_pd(_mm512_sub_pd(lo, q3), _mm512_sub_pd(q3, hi)), zero);
+    a0 = _mm512_add_pd(a0, _mm512_mul_pd(e0, e0));
+    a1 = _mm512_add_pd(a1, _mm512_mul_pd(e1, e1));
+    a2 = _mm512_add_pd(a2, _mm512_mul_pd(e2, e2));
+    a3 = _mm512_add_pd(a3, _mm512_mul_pd(e3, e3));
+    if (abandon_probe_due(d, dim)) {
+      const __m512d m =
+          _mm512_min_pd(_mm512_min_pd(a0, a1), _mm512_min_pd(a2, a3));
+      if (_mm512_cmp_pd_mask(m, veps, _CMP_LE_OQ) == 0) return 0;
+    }
+  }
+  std::uint32_t mask = 0;
+  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a0, veps, _CMP_LE_OQ));
+  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a1, veps, _CMP_LE_OQ))
+          << 8;
+  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a2, veps, _CMP_LE_OQ))
+          << 16;
+  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a3, veps, _CMP_LE_OQ))
+          << 24;
+  return mask;
+}
 
 std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
                            const double* lanes, size_t count) {

@@ -378,6 +378,9 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
 
     parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
       ChunkTally tl;
+      // The drop_edge site below is skipped outright unless a fault plan is
+      // installed (one check per chunk, not one call per candidate).
+      const bool faults = fault::plan_installed();
       // B(t): sampled fwd + rev neighbors, each with its edge's new bit.
       std::vector<std::pair<PointId, unsigned char>> bucket;
       CandidateSet candidates(n);
@@ -458,7 +461,7 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
           // is self-healing — later rounds re-propose surviving paths — so
           // a faulted build still converges to a usable graph (pinned by
           // the knn chaos cells).
-          if (SDB_INJECT("knn.graph.drop_edge")) {
+          if (faults && SDB_INJECT("knn.graph.drop_edge")) {
             ++tl.drops;
             return;
           }

@@ -37,7 +37,9 @@ class BruteForceIndex final : public SpatialIndex {
                  const QueryBudget& budget,
                  std::vector<KnnHit>& out) const override;
 
-  [[nodiscard]] size_t size() const override { return points_.size(); }
+  [[nodiscard]] const PointSet& indexed_points() const override {
+    return points_;
+  }
   [[nodiscard]] u64 byte_size() const override {
     return points_.byte_size() + strips_.size() * sizeof(double);
   }

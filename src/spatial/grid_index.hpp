@@ -44,7 +44,9 @@ class GridIndex final : public SpatialIndex {
                  const QueryBudget& budget,
                  std::vector<KnnHit>& out) const override;
 
-  [[nodiscard]] size_t size() const override { return points_.size(); }
+  [[nodiscard]] const PointSet& indexed_points() const override {
+    return points_;
+  }
   [[nodiscard]] u64 byte_size() const override;
   [[nodiscard]] const char* name() const override { return "grid"; }
 

@@ -1,6 +1,7 @@
 #include "spatial/kd_tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -378,12 +379,7 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       // The sibling pair is adjacent (alloc_children): start both children's
       // node records and box rows toward the cache while this iteration
       // finishes — the near child is popped immediately after.
-      __builtin_prefetch(nodes_.data() + node.left);
-      __builtin_prefetch(nodes_.data() + node.right);
-      __builtin_prefetch(boxes_.data() +
-                         static_cast<size_t>(node.left) * 2 * dim);
-      __builtin_prefetch(boxes_.data() +
-                         static_cast<size_t>(node.right) * 2 * dim);
+      prefetch_children(node);
       // Descend the side containing q first: with a neighbor budget this
       // reports the densest nearby region before the cutoff fires.
       const bool left_first = q[node.split_dim] <= node.split_value;
@@ -454,6 +450,175 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       }
     }
   }
+}
+
+/// Working state of one block of range_query_batch: up to kDistanceStrip
+/// queries walking the tree together.
+struct KdTree::BlockState {
+  double eps2 = 0.0;
+  u32 count = 0;  ///< live lanes, [1, kDistanceStrip]
+  /// The block's query coordinates, dimension-major (the box kernel's
+  /// operand); lanes >= count repeat lane 0 so every lane stays finite.
+  std::vector<double> qs;
+  std::array<const double*, kDistanceStrip> rows{};  ///< each lane's row
+  /// Per lane: hits as (path key, strip position).
+  std::array<std::vector<std::pair<u64, u32>>, kDistanceStrip> hits;
+  simd::StripKernelFn strip = nullptr;
+  simd::BoxKernelFn box = nullptr;
+  u64 nodes_visited = 0;
+  u64 distance_evals = 0;
+};
+
+void KdTree::run_block(BlockState& st) const {
+  // One depth-first walk for the whole block. A frame carries the lanes
+  // whose own descent reaches the node, so each lane is charged exactly
+  // the nodes, leaves and rows its run_query would visit. Walk order is
+  // the same for every lane (left child first); each lane's near-first
+  // order is recovered from the path key instead: bit (63 - t) is set when
+  // the edge out of depth t leads to the lane's far side, so sorting a
+  // lane's hits by (key, position) reproduces run_query's output order.
+  const size_t dim = static_cast<size_t>(points_.dim());
+  const double* strips = leaf_coords_.get();
+  struct Frame {
+    i32 node;
+    u32 lanes;  ///< lanes that visit the node
+    u32 far;    ///< lanes for which the edge into the node is the far side
+    i32 depth;
+  };
+  Frame stack[kQueryStackCap];    // depth_ + 1 <= cap, checked at build
+  u32 path[kQueryStackCap] = {};  // far lanes of each edge on the path
+  int top = 0;
+  stack[top++] = {root_,
+                  st.count == kDistanceStrip ? ~u32{0}
+                                             : (u32{1} << st.count) - 1,
+                  0, 0};
+  while (top > 0) {
+    const Frame f = stack[--top];
+    if (f.depth > 0) path[f.depth - 1] = f.far;
+    const Node& node = nodes_[static_cast<size_t>(f.node)];
+    st.nodes_visited += static_cast<u64>(std::popcount(f.lanes));
+    const u32 pass =
+        st.box(st.qs.data(), dim, st.eps2, boxes_.data() + node.box, f.lanes);
+    if (pass == 0) continue;
+
+    if (!node.is_leaf()) {
+      prefetch_children(node);
+      const double* split =
+          st.qs.data() + static_cast<size_t>(node.split_dim) * kDistanceStrip;
+      u32 left_near = 0;
+      for (u32 j = 0; j < kDistanceStrip; ++j) {
+        left_near |= static_cast<u32>(split[j] <= node.split_value) << j;
+      }
+      stack[top++] = {node.right, pass, pass & left_near, f.depth + 1};
+      stack[top++] = {node.left, pass, pass & ~left_near, f.depth + 1};
+      continue;
+    }
+
+    // Leaf: every passing lane scans it through the strip kernel while its
+    // blocks are hot in L1.
+    st.distance_evals +=
+        static_cast<u64>(node.end - node.begin) * std::popcount(pass);
+    for (u32 lanes = pass; lanes != 0; lanes &= lanes - 1) {
+      const auto j = static_cast<u32>(std::countr_zero(lanes));
+      u64 key = 0;
+      bool keyed = false;
+      for (u32 i = node.begin; i < node.end;) {
+        const u32 lane = i % static_cast<u32>(kDistanceStrip);
+        const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
+                                    node.end - i);
+        u32 mask =
+            st.strip(st.rows[j], dim, st.eps2, strip_lane(strips, i, dim), m);
+        if (mask != 0 && !keyed) {
+          for (i32 t = 0; t < f.depth; ++t) {
+            key |= static_cast<u64>((path[t] >> j) & 1) << (63 - t);
+          }
+          keyed = true;
+        }
+        for (; mask != 0; mask &= mask - 1) {
+          st.hits[j].emplace_back(key, i + std::countr_zero(mask));
+        }
+        i += m;
+      }
+    }
+  }
+}
+
+void KdTree::range_query_batch(std::span<const PointId> queries, double eps,
+                               const QueryBudget& budget,
+                               NeighborhoodCsr& out) const {
+  if (!budget.exact() || leaf_coords_ == nullptr) {
+    // Budgets stop a query mid-walk, and the legacy layout has no strips:
+    // both keep the per-query loop.
+    SpatialIndex::range_query_batch(queries, eps, budget, out);
+    return;
+  }
+  const size_t n = ids_.size();
+  const size_t m = queries.size();
+  const size_t dim = static_cast<size_t>(points_.dim());
+  out.offsets.assign(m + 1, 0);
+
+  // Tree order: mark the queried ids in an n-bit scratch bitmap and walk
+  // the build permutation, so neighbouring queries share their descent.
+  // Caller slots sorted by id map each id found back to its slot(s).
+  std::vector<u64> queried((n + 63) / 64, 0);
+  for (const PointId id : queries) {
+    SDB_CHECK(static_cast<u64>(id) < n,
+              "range_query_batch: query id is not an indexed point");
+    queried[static_cast<size_t>(id) >> 6] |= u64{1} << (id & 63);
+  }
+  std::vector<u32> by_id(m);
+  std::iota(by_id.begin(), by_id.end(), u32{0});
+  std::sort(by_id.begin(), by_id.end(), [&](u32 a, u32 b) {
+    return queries[a] != queries[b] ? queries[a] < queries[b] : a < b;
+  });
+  std::vector<u32> order;  // caller slots in tree order
+  order.reserve(m);
+  for (size_t pos = 0; pos < n && order.size() < m; ++pos) {
+    const PointId id = ids_[pos];
+    if (((queried[static_cast<size_t>(id) >> 6] >> (id & 63)) & 1) == 0) {
+      continue;
+    }
+    auto it = std::lower_bound(
+        by_id.begin(), by_id.end(), id,
+        [&](u32 slot, PointId v) { return queries[slot] < v; });
+    for (; it != by_id.end() && queries[*it] == id; ++it) order.push_back(*it);
+  }
+
+  BlockState st;
+  st.eps2 = eps * eps;
+  st.qs.assign(kDistanceStrip * dim, 0.0);
+  st.strip = simd::detail::strip_kernel();
+  st.box = simd::detail::box_kernel();
+  std::vector<u32> found;  // hit positions, lists in tree order
+  for (size_t b = 0; b < m; b += kDistanceStrip) {
+    st.count = static_cast<u32>(std::min(kDistanceStrip, m - b));
+    for (u32 j = 0; j < kDistanceStrip; ++j) {
+      const u32 src = j < st.count ? j : 0;
+      const auto row = points_[queries[order[b + src]]];
+      st.rows[j] = row.data();
+      for (size_t d = 0; d < dim; ++d) st.qs[d * kDistanceStrip + j] = row[d];
+    }
+    run_block(st);
+    for (u32 j = 0; j < st.count; ++j) {
+      auto& hits = st.hits[j];
+      std::sort(hits.begin(), hits.end());
+      for (const auto& h : hits) found.push_back(h.second);
+      out.offsets[order[b + j] + 1] = hits.size();
+      hits.clear();
+    }
+  }
+
+  // Lists back into caller order.
+  for (size_t i = 0; i < m; ++i) out.offsets[i + 1] += out.offsets[i];
+  out.ids.resize(found.size());
+  size_t src = 0;
+  for (const u32 slot : order) {
+    for (u64 o = out.offsets[slot]; o < out.offsets[slot + 1]; ++o) {
+      out.ids[o] = ids_[found[src++]];
+    }
+  }
+  counters::tree_nodes(st.nodes_visited);
+  counters::distance_evals(st.distance_evals);
 }
 
 void KdTree::knn_query(std::span<const double> q, size_t k,

@@ -23,6 +23,14 @@
 // contract on QueryBudget in spatial_index.hpp). Work counters are tallied
 // locally during the descent and flushed once per query (counters::add) —
 // exact totals, one thread-local access per query.
+// Batched query (range_query_batch, the executor's entry point): exact
+// queries on the strip layout are put in tree order (an n-bit scratch
+// bitmap walked against ids_, so nothing is stored) and answered 32 at a
+// time by one shared descent. A stack frame carries the mask of lanes whose
+// own descent reaches the node; one box-kernel call per node tests them
+// all, and every passing lane scans a leaf while it is hot in L1. Lists,
+// their order (restored from a per-hit far-side path key) and the counters
+// equal the per-query loop's exactly (DESIGN.md §14).
 #pragma once
 
 #include <memory>
@@ -73,6 +81,14 @@ class KdTree final : public SpatialIndex {
                             const QueryBudget& budget,
                             std::vector<PointId>& out) const override;
 
+  /// Block range queries (see SpatialIndex::range_query_batch). Exact
+  /// queries on the strip layout are ordered by tree position and answered
+  /// kDistanceStrip at a time by one shared descent; budgeted queries and
+  /// reorder=false trees take the per-query loop.
+  void range_query_batch(std::span<const PointId> queries, double eps,
+                         const QueryBudget& budget,
+                         NeighborhoodCsr& out) const override;
+
   /// Unified kNN query (see the contract on SpatialIndex::knn_query):
   /// ascending (d2, id) with deterministic smaller-id tie-break at the k-th
   /// distance, one distance_eval per row examined, max_nodes-budgeted
@@ -88,7 +104,9 @@ class KdTree final : public SpatialIndex {
   [[nodiscard]] std::vector<PointId> knn(std::span<const double> q,
                                          size_t k) const;
 
-  [[nodiscard]] size_t size() const override { return points_.size(); }
+  [[nodiscard]] const PointSet& indexed_points() const override {
+    return points_;
+  }
   [[nodiscard]] u64 byte_size() const override;
   [[nodiscard]] const char* name() const override { return "kd-tree"; }
 
@@ -149,12 +167,26 @@ class KdTree final : public SpatialIndex {
   /// exactly those of the textbook recursive formulation.
   void run_query(std::span<const double> q, QueryState& st) const;
 
+  struct BlockState;
+  /// One shared descent for a block of up to kDistanceStrip queries.
+  void run_block(BlockState& st) const;
+
   /// Row i of the build permutation: the coordinates of point ids_[i]. The
   /// strip buffer has no contiguous rows, so scalar consumers (knn, the
   /// budgeted fallback) gather through the id permutation — the same doubles
   /// bit-for-bit.
   [[nodiscard]] std::span<const double> row(u32 i) const {
     return points_[ids_[i]];
+  }
+
+  /// Start an internal node's children (records and box rows) toward the
+  /// cache.
+  void prefetch_children(const Node& node) const {
+    const size_t row = 2 * static_cast<size_t>(points_.dim());
+    __builtin_prefetch(nodes_.data() + node.left);
+    __builtin_prefetch(nodes_.data() + node.right);
+    __builtin_prefetch(boxes_.data() + static_cast<size_t>(node.left) * row);
+    __builtin_prefetch(boxes_.data() + static_cast<size_t>(node.right) * row);
   }
 
   /// Squared distance from q to the node's bounding box, with an early exit

@@ -63,6 +63,17 @@ struct KnnHit {
   friend bool operator==(const KnnHit&, const KnnHit&) = default;
 };
 
+/// The eps-neighborhoods of a batch of queries in compressed sparse rows:
+/// list i is ids[offsets[i], offsets[i + 1]).
+struct NeighborhoodCsr {
+  std::vector<PointId> ids;
+  std::vector<u64> offsets;  ///< one entry per list plus a leading 0
+
+  [[nodiscard]] std::span<const PointId> list(size_t i) const {
+    return {ids.data() + offsets[i], offsets[i + 1] - offsets[i]};
+  }
+};
+
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
@@ -77,6 +88,19 @@ class SpatialIndex {
   virtual void range_query_budgeted(std::span<const double> q, double eps,
                                     const QueryBudget& budget,
                                     std::vector<PointId>& out) const = 0;
+
+  /// Batched range_query_budgeted over indexed points. Fills `out` (its
+  /// previous contents are replaced) with one list per entry of `queries`,
+  /// in that order: list i holds exactly the ids
+  /// range_query_budgeted(indexed_points()[queries[i]], eps, budget, ...)
+  /// appends, in the same order, and the tree_nodes / distance_evals
+  /// counters advance by the same totals as that per-query loop. `queries`
+  /// may be in any order and may repeat an id. The base implementation is
+  /// the per-query loop; the kd-tree answers exact queries in blocks that
+  /// share one tree walk.
+  virtual void range_query_batch(std::span<const PointId> queries, double eps,
+                                 const QueryBudget& budget,
+                                 NeighborhoodCsr& out) const;
 
   /// k-nearest-neighbor query: append the k nearest indexed points to `out`
   /// (including the query point itself when it is indexed), ascending by
@@ -120,8 +144,12 @@ class SpatialIndex {
                          const QueryBudget& budget,
                          std::vector<KnnHit>& out) const = 0;
 
+  /// The points the index was built over (the query coordinates of
+  /// range_query_batch).
+  [[nodiscard]] virtual const PointSet& indexed_points() const = 0;
+
   /// Number of indexed points.
-  [[nodiscard]] virtual size_t size() const = 0;
+  [[nodiscard]] size_t size() const { return indexed_points().size(); }
 
   /// Approximate serialized size in bytes; prices the paper's broadcast of
   /// the kd-tree to every executor.

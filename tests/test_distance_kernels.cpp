@@ -1,4 +1,4 @@
-// SIMD strip-kernel contract tests (see distance_simd.hpp).
+// SIMD strip- and box-kernel contract tests (see distance_simd.hpp).
 //
 // The dispatched kernel (AVX2/NEON when the host has it, scalar otherwise)
 // returns an eps-decision bitmask and must match the scalar reference AND
@@ -13,6 +13,7 @@
 // fallback, so both sides of every comparison are exercised on SIMD hosts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -460,6 +461,124 @@ TEST(KnnKernelFilter, HighDimAndTiesMatchScalarAndBruteOracle) {
 }
 
 // ---------------------------------------------------------------------------
+// Box kernel: a 32-lane query block against one kd-tree node box. Its
+// decisions must equal the kd-tree's scalar box test bit for bit.
+// ---------------------------------------------------------------------------
+
+/// The kd-tree's box test (KdTree::box_distance2) as a full sum: ascending
+/// d, unfused, max(max(lo - q, q - hi), 0)^2.
+double box_distance2_full(std::span<const double> q,
+                          const std::vector<double>& box) {
+  double s = 0.0;
+  for (size_t d = 0; d < q.size(); ++d) {
+    const double diff =
+        std::max(std::max(box[2 * d] - q[d], q[d] - box[2 * d + 1]), 0.0);
+    s += diff * diff;
+  }
+  return s;
+}
+
+class BoxKernelBitExact : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BoxKernelBitExact, MatchesScalarBoxTest) {
+  const size_t dim = GetParam();
+  Rng rng(4242 + static_cast<u64>(dim));
+  // Boxes: a plain one, a degenerate point box, one with -0.0 bounds and
+  // one at +-1e150.
+  std::vector<std::vector<double>> boxes;
+  for (int kind = 0; kind < 4; ++kind) {
+    std::vector<double> box(2 * dim);
+    for (size_t d = 0; d < dim; ++d) {
+      double lo = rng.uniform(-10.0, 10.0);
+      double hi = lo + rng.uniform(0.0, 5.0);
+      if (kind == 1) hi = lo;
+      if (kind == 2) {
+        lo = -0.0;
+        hi = d % 2 == 0 ? 0.0 : 3.0;
+      }
+      if (kind == 3) {
+        lo = -1e150;
+        hi = 1e150;
+        if (d % 3 == 1) lo = hi = 1e150;
+      }
+      box[2 * d] = lo;
+      box[2 * d + 1] = hi;
+    }
+    boxes.push_back(std::move(box));
+  }
+
+  const simd::BoxKernelFn dispatched = simd::detail::box_kernel();
+  for (const auto& box : boxes) {
+    // 32 query lanes: inside, on a face, exactly eps past a face along one
+    // axis, past a corner, at -0.0, at +-1e150, and random.
+    const double eps = 2.5;
+    std::vector<std::vector<double>> qs;
+    for (size_t j = 0; j < kDistanceStrip; ++j) {
+      std::vector<double> q(dim);
+      for (size_t d = 0; d < dim; ++d) {
+        const double lo = box[2 * d];
+        const double hi = box[2 * d + 1];
+        switch (j % 8) {
+          case 0: q[d] = lo + (hi - lo) / 2; break;       // inside
+          case 1: q[d] = d % 2 == 0 ? lo : hi; break;     // on faces
+          case 2: q[d] = d == 0 ? hi + eps : hi; break;   // eps past a face
+          case 3: q[d] = lo - eps / std::sqrt(static_cast<double>(dim));
+                  break;                                   // past a corner
+          case 4: q[d] = -0.0; break;
+          case 5: q[d] = d % 2 == 0 ? 1e150 : -1e150; break;
+          default: q[d] = rng.uniform(-20.0, 20.0); break;
+        }
+      }
+      qs.push_back(std::move(q));
+    }
+    std::vector<double> soa(kDistanceStrip * dim);
+    for (size_t j = 0; j < kDistanceStrip; ++j) {
+      for (size_t d = 0; d < dim; ++d) soa[d * kDistanceStrip + j] = qs[j][d];
+    }
+    // Thresholds on each lane's exact box distance and one ulp below it
+    // (the exactly-eps corner), plus the usual fixed ones.
+    std::vector<double> eps2s = {0.0, eps * eps,
+                                 std::nextafter(eps * eps, 0.0), 1e-310,
+                                 1e300};
+    for (size_t j = 0; j < kDistanceStrip; ++j) {
+      const double d2 = box_distance2_full(qs[j], box);
+      if (!std::isfinite(d2)) continue;
+      eps2s.push_back(d2);
+      eps2s.push_back(std::nextafter(d2, 0.0));
+    }
+    // Active masks: the full block, partial blocks, sparse and single lanes.
+    std::vector<u32> actives = {~u32{0}, 0u, 1u, u32{1} << 31, 0x55555555u,
+                                0x80000001u};
+    for (u32 k = 1; k < kDistanceStrip; k += 5) {
+      actives.push_back((u32{1} << k) - 1);
+    }
+    for (int r = 0; r < 4; ++r) {
+      actives.push_back(static_cast<u32>(rng.uniform_index(1ull << 32)));
+    }
+    for (const double eps2 : eps2s) {
+      for (const u32 active : actives) {
+        u32 want = 0;
+        for (size_t j = 0; j < kDistanceStrip; ++j) {
+          if ((active >> j & 1) != 0 && box_distance2_full(qs[j], box) <= eps2) {
+            want |= u32{1} << j;
+          }
+        }
+        const u32 got = dispatched(soa.data(), dim, eps2, box.data(), active);
+        const u32 ref =
+            simd::detail::box_scalar(soa.data(), dim, eps2, box.data(), active);
+        EXPECT_EQ(ref, want) << "box_scalar vs oracle: dim=" << dim
+                             << " eps2=" << eps2 << " active=" << active;
+        EXPECT_EQ(got, want) << "dispatched vs oracle: dim=" << dim
+                             << " eps2=" << eps2 << " active=" << active;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, BoxKernelBitExact,
+                         ::testing::Values<size_t>(1, 2, 3, 10, 64));
+
+// ---------------------------------------------------------------------------
 // Dispatch control.
 // ---------------------------------------------------------------------------
 
@@ -496,6 +615,7 @@ TEST(KernelDispatch, ForceScalarPinsFallbackAndResultsAreIdentical) {
   simd::force_scalar(true);
   EXPECT_EQ(simd::active_variant(), simd::KernelVariant::kScalar);
   EXPECT_TRUE(simd::scalar_forced());
+  EXPECT_EQ(simd::detail::box_kernel(), &simd::detail::box_scalar);
   const auto scalar = run_queries();
   simd::force_scalar(false);
   EXPECT_FALSE(simd::scalar_forced());
@@ -513,6 +633,7 @@ TEST(KernelDispatch, EnvVarPinsScalar) {
   }
   EXPECT_EQ(simd::active_variant(), simd::KernelVariant::kScalar)
       << "SDB_SIMD=" << env << " must pin the scalar fallback";
+  EXPECT_EQ(simd::detail::box_kernel(), &simd::detail::box_scalar);
 }
 
 TEST(KernelDispatch, VariantNamesAreStable) {

@@ -1,9 +1,12 @@
 // Cross-index property sweep: every SpatialIndex implementation must agree
-// with every other on exact queries, and budgeted queries must return
-// subsets of the exact result.
+// with every other on exact queries, budgeted queries must return subsets
+// of the exact result, and batched queries must equal the per-query loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <string>
+#include <thread>
 
 #include "geom/distance.hpp"
 #include "spatial/brute_force.hpp"
@@ -11,6 +14,7 @@
 #include "spatial/kd_tree.hpp"
 #include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
+#include "util/counters.hpp"
 #include "util/rng.hpp"
 
 namespace sdb {
@@ -139,6 +143,131 @@ INSTANTIATE_TEST_SUITE_P(Sweep, IndexParityAdversarial,
                                            std::make_tuple(2, 3.0),
                                            std::make_tuple(5, 8.0),
                                            std::make_tuple(10, 20.0)));
+
+/// The batched query must reproduce the per-query loop exactly: per list
+/// the same ids in the same order, and the same tree_nodes /
+/// distance_evals totals.
+void expect_batch_matches_per_query(const SpatialIndex& index,
+                                    std::span<const PointId> queries,
+                                    double eps, const QueryBudget& budget,
+                                    const std::string& what) {
+  const PointSet& ps = index.indexed_points();
+  std::vector<std::vector<PointId>> lists;
+  WorkCounters per_query;
+  {
+    ScopedCounters scope(&per_query);
+    for (const PointId q : queries) {
+      lists.emplace_back();
+      index.range_query_budgeted(ps[q], eps, budget, lists.back());
+    }
+  }
+  NeighborhoodCsr csr;
+  csr.ids = {7, 7, 7};  // stale contents must be replaced
+  WorkCounters batched;
+  {
+    ScopedCounters scope(&batched);
+    index.range_query_batch(queries, eps, budget, csr);
+  }
+  ASSERT_EQ(csr.offsets.size(), queries.size() + 1) << what;
+  ASSERT_EQ(csr.offsets.front(), 0u) << what;
+  ASSERT_EQ(csr.offsets.back(), csr.ids.size()) << what;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const auto list = csr.list(i);
+    EXPECT_EQ(std::vector<PointId>(list.begin(), list.end()), lists[i])
+        << what << " list " << i << " (point " << queries[i] << ")";
+  }
+  EXPECT_EQ(batched.tree_nodes, per_query.tree_nodes) << what;
+  EXPECT_EQ(batched.distance_evals, per_query.distance_evals) << what;
+}
+
+class BatchedRangeQuery
+    : public ::testing::TestWithParam<std::tuple<int, double>> {};
+
+TEST_P(BatchedRangeQuery, MatchesPerQueryForEveryIndexAndBudget) {
+  const auto [dim, eps] = GetParam();
+  // Duplicates and exactly-eps pairs (adversarial_points), so equal keys
+  // and boundary hits are common.
+  const PointSet ps =
+      adversarial_points(700, dim, eps, 211 + static_cast<u64>(dim));
+  const KdTree kd_legacy(ps, KdTreeOptions{.build_threads = 1,
+                                           .reorder = false});
+  const KdTree kd_blocked(ps, KdTreeOptions{.build_threads = 4,
+                                            .reorder = true});
+  // Small leaves: deep trees, so the path-key order does real work.
+  const KdTree kd_deep(ps, KdTreeOptions{.leaf_size = 4,
+                                         .build_threads = 1,
+                                         .reorder = true});
+  const RTree rt(ps);
+  const GridIndex grid(ps, eps);
+  const BruteForceIndex brute(ps);
+  std::vector<const SpatialIndex*> indexes = {&kd_legacy, &kd_blocked,
+                                              &kd_deep,   &rt,
+                                              &brute};
+  // A grid query probes 3^d cells: only the low dimensions are tractable.
+  if (dim <= 3) indexes.push_back(&grid);
+  const std::vector<QueryBudget> budgets = {
+      QueryBudget{}, QueryBudget{.max_neighbors = 3},
+      QueryBudget{.max_nodes = 6}};
+
+  Rng rng(23 + static_cast<u64>(dim));
+  for (const size_t count : {0, 1, 31, 32, 33, 100}) {
+    // Descending ids, the second half shuffled, and past one block a
+    // repeated id: not in id order and not in tree order.
+    std::vector<PointId> queries;
+    for (size_t i = 0; i < count; ++i) {
+      queries.push_back(static_cast<PointId>(ps.size() - 1 - 6 * i));
+    }
+    for (size_t i = count / 2; i + 1 < count; ++i) {
+      std::swap(queries[i],
+                queries[i + rng.uniform_index(count - i)]);
+    }
+    if (count > kDistanceStrip) queries[count - 1] = queries[3];
+    for (const SpatialIndex* index : indexes) {
+      for (size_t b = 0; b < budgets.size(); ++b) {
+        expect_batch_matches_per_query(
+            *index, queries, eps, budgets[b],
+            std::string(index->name()) + " dim=" + std::to_string(dim) +
+                " count=" + std::to_string(count) + " budget#" +
+                std::to_string(b));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, BatchedRangeQuery,
+                         ::testing::Values(std::make_tuple(1, 2.0),
+                                           std::make_tuple(2, 3.0),
+                                           std::make_tuple(3, 5.0),
+                                           std::make_tuple(10, 20.0),
+                                           std::make_tuple(64, 120.0)));
+
+TEST(BatchedRangeQueryLaws, ConcurrentBlocksOnOneSharedTree) {
+  // Executors share one broadcast tree; every call keeps its own scratch,
+  // so concurrent batches must each match a sequential run (the TSan entry
+  // point for the block path).
+  const PointSet ps = clustered_points(3000, 3, 131);
+  const KdTree kd(ps);
+  std::vector<std::vector<PointId>> parts(4);
+  for (size_t i = 0; i < ps.size(); ++i) {
+    parts[i % parts.size()].push_back(static_cast<PointId>(i));
+  }
+  std::vector<NeighborhoodCsr> expected(parts.size());
+  for (size_t t = 0; t < parts.size(); ++t) {
+    kd.range_query_batch(parts[t], 3.0, QueryBudget{}, expected[t]);
+  }
+  std::vector<NeighborhoodCsr> got(parts.size());
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < parts.size(); ++t) {
+    threads.emplace_back([&, t] {
+      kd.range_query_batch(parts[t], 3.0, QueryBudget{}, got[t]);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 0; t < parts.size(); ++t) {
+    EXPECT_EQ(got[t].ids, expected[t].ids) << "thread " << t;
+    EXPECT_EQ(got[t].offsets, expected[t].offsets) << "thread " << t;
+  }
+}
 
 TEST(BudgetLaws, BudgetedIsSubsetOfExactForAllIndexes) {
   const PointSet ps = clustered_points(1200, 2, 83);

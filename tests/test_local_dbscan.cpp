@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "core/dbscan_seq.hpp"
 #include "spatial/kd_tree.hpp"
@@ -286,6 +289,81 @@ TEST(LocalDbscan, DeterministicAcrossRepeatedRuns) {
     }
     EXPECT_EQ(first.noise, again.noise);
     EXPECT_EQ(first.core_points, again.core_points);
+  }
+}
+
+TEST(LocalDbscan, BatchedNeighborhoodsMatchPerQuerySweep) {
+  // local_dbscan answers the partition's neighborhoods in one batched call;
+  // local_sweep driven by one range query per point is the reference. The
+  // result and every work counter must come out byte-identical, for every
+  // partitioner, seed strategy, tree layout and budget.
+  Rng rng(29);
+  synth::GaussianMixtureConfig gcfg;
+  gcfg.n = 1200;
+  gcfg.dim = 3;
+  gcfg.clusters = 4;
+  gcfg.sigma = 1.5;
+  gcfg.noise_fraction = 0.1;
+  gcfg.box_side = 30.0;
+  const PointSet ps = synth::gaussian_clusters(gcfg, rng);
+  const KdTree blocked(ps);
+  const KdTree deep(ps, KdTreeOptions{.leaf_size = 8});
+  const KdTree legacy(ps, KdTreeOptions{.reorder = false});
+  const std::vector<std::pair<const char*, const KdTree*>> trees = {
+      {"blocked", &blocked}, {"deep", &deep}, {"legacy", &legacy}};
+  const std::vector<QueryBudget> budgets = {QueryBudget{},
+                                            QueryBudget{.max_neighbors = 6}};
+  for (const PartitionerKind kind :
+       {PartitionerKind::kBlock, PartitionerKind::kRandom,
+        PartitionerKind::kGrid, PartitionerKind::kKdSplit}) {
+    const Partitioning part = make_partitioning(kind, ps, 4);
+    for (const SeedStrategy strategy :
+         {SeedStrategy::kOnePerPartition, SeedStrategy::kAllForeign}) {
+      for (const auto& [tree_name, tree] : trees) {
+        for (const QueryBudget& budget : budgets) {
+          LocalDbscanConfig cfg;
+          cfg.params = {1.2, 5};
+          cfg.seed_strategy = strategy;
+          cfg.budget = budget;
+          for (PartitionId p = 0; p < 4; ++p) {
+            WorkCounters batched_wc;
+            LocalClusterResult batched;
+            {
+              ScopedCounters scope(&batched_wc);
+              batched = local_dbscan(ps, *tree, part, p, cfg);
+            }
+            WorkCounters per_query_wc;
+            LocalClusterResult per_query;
+            {
+              ScopedCounters scope(&per_query_wc);
+              std::vector<PointId> neighbors;
+              per_query = local_sweep(part, p, strategy, [&](PointId q) {
+                neighbors.clear();
+                tree->range_query_budgeted(ps[q], cfg.params.eps, budget,
+                                           neighbors);
+                return Neighborhood{
+                    static_cast<i64>(neighbors.size()) >= cfg.params.minpts,
+                    neighbors};
+              });
+            }
+            const std::string what =
+                std::string(partitioner_name(kind)) + " " +
+                seed_strategy_name(strategy) + " " + tree_name +
+                " partition " +
+                std::to_string(p) + " budget " +
+                std::to_string(budget.max_neighbors);
+            EXPECT_EQ(to_bytes(batched), to_bytes(per_query)) << what;
+            EXPECT_EQ(batched_wc.distance_evals, per_query_wc.distance_evals)
+                << what;
+            EXPECT_EQ(batched_wc.tree_nodes, per_query_wc.tree_nodes) << what;
+            EXPECT_EQ(std::memcmp(&batched_wc, &per_query_wc,
+                                  sizeof(WorkCounters)),
+                      0)
+                << what;
+          }
+        }
+      }
+    }
   }
 }
 
