@@ -1,11 +1,10 @@
 // Hot-path benchmark + perf-regression baseline (BENCH_hotpath.json).
 //
-// Three sections, each measured on the legacy path (sequential build,
-// row-major gather leaf scans — byte-equivalent to the pre-overhaul code)
-// and on the optimized path (thread-pool parallel build, leaf-contiguous
-// layout, blocked distance kernel):
-//   build  — kd-tree construction wall time;
+// Three sections over the kd-tree (strip-transposed leaf layout, SIMD strip
+// kernels):
+//   build  — construction wall time, sequential and on the thread pool;
 //   query  — exact range-query throughput through range_query_budgeted,
+//            re-run on the forced-scalar kernel (counters checked equal),
 //            plus a batched arm through range_query_batch (the executor's
 //            entry point) checked list-for-list against it;
 //   e2e    — the full spark_dbscan pipeline wall time.
@@ -32,18 +31,15 @@ using namespace sdb;
 namespace {
 
 struct BuildNumbers {
-  double seq_legacy_ms = 0.0;
-  double seq_reorder_ms = 0.0;
+  double seq_ms = 0.0;
   double parallel_ms = 0.0;
 };
 
 struct QueryNumbers {
   u64 queries = 0;
-  double legacy_qps = 0.0;
-  double blocked_qps = 0.0;
-  double scalar_qps = 0.0;  ///< blocked layout, forced-scalar kernel
-  double batch_qps = 0.0;   ///< blocked layout, one range_query_batch call
-  u64 distance_evals_legacy = 0;
+  double blocked_qps = 0.0;  ///< dispatched strip kernel
+  double scalar_qps = 0.0;   ///< forced-scalar kernel
+  double batch_qps = 0.0;    ///< one range_query_batch call
   u64 distance_evals_blocked = 0;
   u64 distance_evals_scalar = 0;
   u64 neighbors = 0;
@@ -52,8 +48,7 @@ struct QueryNumbers {
 struct E2eNumbers {
   bool pruned = false;
   u32 cores = 0;
-  double legacy_wall_s = 0.0;
-  double optimized_wall_s = 0.0;
+  double wall_s = 0.0;
   double sim_total_s = 0.0;
 };
 
@@ -105,17 +100,15 @@ void best_build_ms_interleaved(const PointSet& points,
 /// Exact range queries from `queries` dataset points, round-robin. Each
 /// variant is timed `reps` times and reports its best pass — on shared /
 /// virtualized hosts the run-to-run swing is easily 2x, and best-of keeps
-/// the legacy/blocked RATIO meaningful even when a slow window hits one of
-/// the passes.
-QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
-                             const KdTree& blocked, double eps, u64 queries,
-                             int reps) {
+/// the ratios between variants meaningful even when a slow window hits one
+/// of the passes.
+QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
+                             double eps, u64 queries, int reps) {
   QueryNumbers out;
   out.queries = queries;
   const size_t stride = std::max<size_t>(1, points.size() / queries);
   std::vector<PointId> hits;
-  u64 blocked_neighbors = 0;
-  auto run = [&](const KdTree& tree, u64* evals, double* qps) {
+  auto run = [&](u64* evals, double* qps) {
     u64 neighbors = 0;
     double best_qps = 0.0;
     for (int rep = 0; rep < reps; ++rep) {
@@ -137,25 +130,21 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
       *evals = wc.distance_evals;
     }
     *qps = best_qps;
-    out.neighbors = neighbors;
     return neighbors;
   };
-  run(legacy, &out.distance_evals_legacy, &out.legacy_qps);
-  blocked_neighbors =
-      run(blocked, &out.distance_evals_blocked, &out.blocked_qps);
-  // Scalar-vs-SIMD self-check: the same blocked tree re-queried with the
-  // dispatched kernel pinned to the scalar fallback must report the exact
-  // same distance_evals and neighbor totals (the kernels' bit-identical
+  out.neighbors = run(&out.distance_evals_blocked, &out.blocked_qps);
+  // Scalar-vs-SIMD self-check: the same tree re-queried with the dispatched
+  // kernel pinned to the scalar fallback must report the exact same
+  // distance_evals and neighbor totals (the kernels' bit-identical
   // contract, distance_simd.hpp). scalar_qps also isolates the kernel's
-  // contribution from the layout/traversal work shared by both variants.
+  // contribution from the traversal work shared by both variants.
   simd::force_scalar(true);
   const u64 scalar_neighbors =
-      run(blocked, &out.distance_evals_scalar, &out.scalar_qps);
+      run(&out.distance_evals_scalar, &out.scalar_qps);
   simd::force_scalar(false);
-  out.neighbors = blocked_neighbors;
   SDB_CHECK(out.distance_evals_scalar == out.distance_evals_blocked,
             "forced-scalar rerun must evaluate the same candidates");
-  SDB_CHECK(scalar_neighbors == blocked_neighbors,
+  SDB_CHECK(scalar_neighbors == out.neighbors,
             "forced-scalar rerun must find the same neighbors");
 
   // Batched arm: the same query points answered by one range_query_batch
@@ -171,8 +160,8 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
   {
     ScopedCounters scope(&reference_wc);
     for (const PointId id : ids) {
-      blocked.range_query_budgeted(points[id], eps, QueryBudget{},
-                                   reference.ids);
+      tree.range_query_budgeted(points[id], eps, QueryBudget{},
+                                reference.ids);
       reference.offsets.push_back(reference.ids.size());
     }
   }
@@ -182,7 +171,7 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& legacy,
     Stopwatch sw;
     {
       ScopedCounters scope(&wc);
-      blocked.range_query_batch(ids, eps, QueryBudget{}, batch);
+      tree.range_query_batch(ids, eps, QueryBudget{}, batch);
     }
     out.batch_qps = std::max(
         out.batch_qps, static_cast<double>(ids.size()) / sw.seconds());
@@ -277,19 +266,13 @@ E2eNumbers measure_e2e(const PointSet& points, const synth::DatasetSpec& spec,
     cfg.budget.max_neighbors = 64;  // the paper's r1m pruning configuration
     cfg.min_partial_cluster_size = 4;
   }
-  auto run = [&](unsigned threads, bool reorder) {
-    minispark::SparkContext ctx(bench::cluster_config(out.cores, seed));
-    cfg.index_build_threads = threads;
-    cfg.index_reorder = reorder;
-    dbscan::SparkDbscan dbscan(ctx, cfg);
-    const auto report = dbscan.run(points);
-    out.sim_total_s = report.sim_read_s + report.sim_tree_s +
-                      report.sim_broadcast_s + report.sim_executor_s +
-                      report.sim_collect_s + report.sim_merge_s;
-    return report.wall_s;
-  };
-  out.legacy_wall_s = run(1, false);
-  out.optimized_wall_s = run(0, true);
+  minispark::SparkContext ctx(bench::cluster_config(out.cores, seed));
+  dbscan::SparkDbscan dbscan(ctx, cfg);
+  const auto report = dbscan.run(points);
+  out.sim_total_s = report.sim_read_s + report.sim_tree_s +
+                    report.sim_broadcast_s + report.sim_executor_s +
+                    report.sim_collect_s + report.sim_merge_s;
+  out.wall_s = report.wall_s;
   return out;
 }
 
@@ -314,27 +297,21 @@ void write_json(const std::string& path, const std::string& mode,
                  "\"eps\": %.3f,\n",
                  r.name.c_str(), r.n, r.dim, r.eps);
     std::fprintf(f,
-                 "     \"build\": {\"seq_legacy_ms\": %.3f, "
-                 "\"seq_reorder_ms\": %.3f, \"parallel_ms\": %.3f, "
+                 "     \"build\": {\"seq_ms\": %.3f, \"parallel_ms\": %.3f, "
                  "\"parallel_speedup\": %.3f},\n",
-                 r.build.seq_legacy_ms, r.build.seq_reorder_ms,
-                 r.build.parallel_ms,
-                 r.build.seq_legacy_ms / r.build.parallel_ms);
+                 r.build.seq_ms, r.build.parallel_ms,
+                 r.build.seq_ms / r.build.parallel_ms);
     std::fprintf(f,
-                 "     \"query\": {\"queries\": %llu, \"legacy_qps\": %.1f, "
-                 "\"blocked_qps\": %.1f, \"speedup\": %.3f, "
+                 "     \"query\": {\"queries\": %llu, "
+                 "\"blocked_qps\": %.1f, "
                  "\"scalar_qps\": %.1f, \"simd_speedup\": %.3f, "
                  "\"batch_qps\": %.1f, \"batch_speedup\": %.3f, "
-                 "\"neighbors\": %llu,\n"
-                 "               \"distance_evals_legacy\": %llu, "
-                 "\"distance_evals_blocked\": %llu}",
+                 "\"neighbors\": %llu, \"distance_evals_blocked\": %llu}",
                  static_cast<unsigned long long>(r.query.queries),
-                 r.query.legacy_qps, r.query.blocked_qps,
-                 r.query.blocked_qps / r.query.legacy_qps, r.query.scalar_qps,
+                 r.query.blocked_qps, r.query.scalar_qps,
                  r.query.blocked_qps / r.query.scalar_qps, r.query.batch_qps,
                  r.query.batch_qps / r.query.blocked_qps,
                  static_cast<unsigned long long>(r.query.neighbors),
-                 static_cast<unsigned long long>(r.query.distance_evals_legacy),
                  static_cast<unsigned long long>(
                      r.query.distance_evals_blocked));
     std::fprintf(f, ",\n     \"scaling\": [");
@@ -349,12 +326,9 @@ void write_json(const std::string& path, const std::string& mode,
     if (r.has_e2e) {
       std::fprintf(f,
                    ",\n     \"e2e\": {\"pruned\": %s, \"cores\": %u, "
-                   "\"legacy_wall_s\": %.3f, \"optimized_wall_s\": %.3f, "
-                   "\"speedup\": %.3f, \"sim_total_s\": %.3f}",
+                   "\"wall_s\": %.3f, \"sim_total_s\": %.3f}",
                    r.e2e.pruned ? "true" : "false", r.e2e.cores,
-                   r.e2e.legacy_wall_s, r.e2e.optimized_wall_s,
-                   r.e2e.legacy_wall_s / r.e2e.optimized_wall_s,
-                   r.e2e.sim_total_s);
+                   r.e2e.wall_s, r.e2e.sim_total_s);
     }
     std::fprintf(f, "}%s\n", i + 1 < reports.size() ? "," : "");
   }
@@ -409,22 +383,13 @@ int main(int argc, char** argv) {
     r.dim = points.dim();
     r.eps = spec.eps;
 
-    const KdTreeOptions build_cfgs[] = {
-        {.build_threads = 1, .reorder = false},
-        {.build_threads = 1, .reorder = true},
-        {.build_threads = threads, .reorder = true}};
-    double* const build_outs[] = {&r.build.seq_legacy_ms,
-                                  &r.build.seq_reorder_ms,
-                                  &r.build.parallel_ms};
+    const KdTreeOptions build_cfgs[] = {{.build_threads = 1},
+                                        {.build_threads = threads}};
+    double* const build_outs[] = {&r.build.seq_ms, &r.build.parallel_ms};
     best_build_ms_interleaved(points, build_cfgs, build_outs, build_reps);
 
-    const KdTree legacy(points, {.build_threads = 1, .reorder = false});
-    const KdTree blocked(points, {.build_threads = threads, .reorder = true});
-    r.query = measure_queries(points, legacy, blocked, spec.eps, queries,
-                              smoke ? 2 : 3);
-    SDB_CHECK(r.query.distance_evals_legacy == r.query.distance_evals_blocked,
-              "blocked kernel must evaluate exactly the scalar path's "
-              "candidates");
+    const KdTree tree(points, {.build_threads = threads});
+    r.query = measure_queries(points, tree, spec.eps, queries, smoke ? 2 : 3);
 
     // Thread-scaling: parallel build and concurrent query throughput at
     // 1/2/4/hw threads (the ROADMAP's multi-thread build/query row).
@@ -452,11 +417,10 @@ int main(int argc, char** argv) {
         ScalingPoint& sp = r.scaling[s];
         sp.build_ms = std::min(
             sp.build_ms,
-            best_build_ms(points,
-                          {.build_threads = sp.threads, .reorder = true}, 1));
+            best_build_ms(points, {.build_threads = sp.threads}, 1));
         sp.query_qps = std::max(
             sp.query_qps,
-            threaded_query_qps(points, blocked, spec.eps, queries, sp.threads,
+            threaded_query_qps(points, tree, spec.eps, queries, sp.threads,
                                1));
       }
     }
@@ -467,29 +431,25 @@ int main(int argc, char** argv) {
     }
     reports.push_back(r);
 
-    TablePrinter table({"metric", "legacy", "optimized", "speedup"});
-    table.add_row({"build (ms)", TablePrinter::cell(r.build.seq_legacy_ms, 1),
+    TablePrinter table({"metric", "baseline", "measured", "speedup"});
+    table.add_row({"build: 1 thread vs pool (ms)",
+                   TablePrinter::cell(r.build.seq_ms, 1),
                    TablePrinter::cell(r.build.parallel_ms, 1),
-                   TablePrinter::cell(
-                       r.build.seq_legacy_ms / r.build.parallel_ms, 2)});
+                   TablePrinter::cell(r.build.seq_ms / r.build.parallel_ms,
+                                      2)});
     table.add_row(
-        {"query (q/s)", TablePrinter::cell(r.query.legacy_qps, 0),
-         TablePrinter::cell(r.query.blocked_qps, 0),
-         TablePrinter::cell(r.query.blocked_qps / r.query.legacy_qps, 2)});
-    table.add_row(
-        {"query scalar-kernel (q/s)", TablePrinter::cell(r.query.scalar_qps, 0),
+        {"query: scalar vs SIMD kernel (q/s)",
+         TablePrinter::cell(r.query.scalar_qps, 0),
          TablePrinter::cell(r.query.blocked_qps, 0),
          TablePrinter::cell(r.query.blocked_qps / r.query.scalar_qps, 2)});
     table.add_row(
-        {"query batched (q/s)", TablePrinter::cell(r.query.blocked_qps, 0),
+        {"query: per-query vs batched (q/s)",
+         TablePrinter::cell(r.query.blocked_qps, 0),
          TablePrinter::cell(r.query.batch_qps, 0),
          TablePrinter::cell(r.query.batch_qps / r.query.blocked_qps, 2)});
     if (r.has_e2e) {
-      table.add_row(
-          {"e2e wall (s)", TablePrinter::cell(r.e2e.legacy_wall_s, 2),
-           TablePrinter::cell(r.e2e.optimized_wall_s, 2),
-           TablePrinter::cell(r.e2e.legacy_wall_s / r.e2e.optimized_wall_s,
-                              2)});
+      table.add_row({"e2e wall (s)", "-", TablePrinter::cell(r.e2e.wall_s, 2),
+                     "-"});
     }
     bench::emit(table,
                 "hot path: " + r.name + " (" + std::to_string(r.n) +

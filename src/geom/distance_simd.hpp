@@ -14,7 +14,7 @@
 // unit-stride loads and no per-point pointer chasing. Blocks are addressed
 // by global position: position i lives in block i / kDistanceStrip at lane
 // i % kDistanceStrip, and a scan may enter a block at any lane offset (a
-// kd-tree leaf or grid cell can start mid-block).
+// kd-tree leaf can start mid-block).
 //
 // Determinism contract: every variant (scalar fallback, AVX2, AVX-512, NEON)
 // returns bit-identical eps-decision masks. Each lane accumulates

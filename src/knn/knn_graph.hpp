@@ -3,12 +3,13 @@
 //
 // Every exact index in src/spatial collapses past d≈20: kd-tree and R-tree
 // box pruning stops discriminating (every box is "close" in high
-// dimensions), and the grid's 3^d neighborhood explodes. KNN-DBSCAN (Chen
-// et al., PAPERS.md) recovers DBSCAN semantics from a kNN graph instead:
-// core points fall out of the k-th neighbor distance, connectivity out of
-// in-eps kNN edges — and an APPROXIMATE graph, built by NN-descent (Dong et
-// al.)-style neighbor refinement, costs O(n * k^2 * rounds) distance
-// evaluations instead of O(n^2), independent of dimension.
+// dimensions), and a grid's 3^d cell neighborhood would explode.
+// KNN-DBSCAN (Chen et al., PAPERS.md) recovers DBSCAN semantics from a kNN
+// graph instead: core points fall out of the k-th neighbor distance,
+// connectivity out of in-eps kNN edges — and an APPROXIMATE graph, built by
+// NN-descent (Dong et al.)-style neighbor refinement, costs
+// O(n * k^2 * rounds) distance evaluations instead of O(n^2), independent
+// of dimension.
 //
 // Graph layout: flat rows of k slots per point — neighbor_ids / neighbor_d2
 // — each row sorted ascending by (d2, id) with kNoNeighbor padding. Rows

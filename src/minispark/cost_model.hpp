@@ -9,10 +9,11 @@
 //                       + sum_i counter_i * ns_per_op_i
 //                       + bytes moved / bandwidth
 //
-// The per-op constants below were calibrated once against wall-clock
-// microbenchmarks of the respective hot loops on a 2.4 GHz x86 core (the
-// paper's Ivy Bridge clock) and are deliberately kept fixed so results are
-// machine-independent. calibrate() can re-derive them on the current host.
+// The per-op constants below were set once from wall-clock
+// microbenchmarks of the respective scalar hot loops, scaled to a 2.4 GHz
+// x86 core (the paper's Ivy Bridge clock). They are fixed constants: no
+// code re-derives them on the current host, so simulated times are
+// machine-independent and do not follow the host's SIMD kernels.
 #pragma once
 
 #include "util/common.hpp"

@@ -19,7 +19,7 @@ class BruteForceIndex final : public SpatialIndex {
   /// into its strip-transposed buffer at construction; the caller must keep
   /// the PointSet alive and unmutated for the index's lifetime (a mutation
   /// after build would not be observed — the same immutability assumption
-  /// as KdTree's and GridIndex's packed layouts).
+  /// as KdTree's packed layout).
   explicit BruteForceIndex(const PointSet& points);
 
   void range_query(std::span<const double> q, double eps,

@@ -116,37 +116,34 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
   nodes_.resize(max_nodes);
   boxes_.resize(max_nodes * 2 * dim);
 
-  if (options.reorder) {
-    // Strip-transposed leaf-order buffer, filled in place as leaves
-    // finalize. Allocate without zero-filling the whole buffer (the leaf
-    // stores overwrite every live lane); only the final block's padding
-    // lanes need zeros so vector loads never read uninitialized memory.
-    leaf_coords_len_ = strip_padded_len(n, dim);
-    leaf_coords_ = std::make_unique_for_overwrite<double[]>(leaf_coords_len_);
+  // Strip-transposed leaf-order buffer, filled in place as leaves finalize.
+  // Allocate without zero-filling the whole buffer (the leaf stores
+  // overwrite every live lane); only the final block's padding lanes need
+  // zeros so vector loads never read uninitialized memory.
+  leaf_coords_len_ = strip_padded_len(n, dim);
+  leaf_coords_ = std::make_unique_for_overwrite<double[]>(leaf_coords_len_);
 #if defined(__linux__)
-    // The buffer is large, written exactly once (by the leaf scatters), and
-    // freshly mmapped by the allocator at this size — so at 4KiB pages the
-    // build pays one minor fault per page (~2k faults at 1m points), a cost
-    // the legacy build simply doesn't have. Ask for transparent huge pages
-    // on the page-aligned interior; a kernel without (or with disabled) THP
-    // just returns EINVAL/ENOMEM and nothing changes.
-    {
-      const auto page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
-      const auto lo =
-          (reinterpret_cast<uintptr_t>(leaf_coords_.get()) + page - 1) &
-          ~(page - 1);
-      const auto hi = (reinterpret_cast<uintptr_t>(leaf_coords_.get()) +
-                       leaf_coords_len_ * sizeof(double)) &
-                      ~(page - 1);
-      if (hi > lo) {
-        (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
-      }
+  // The buffer is large, written exactly once (by the leaf scatters), and
+  // freshly mmapped by the allocator at this size — so at 4KiB pages the
+  // build pays one minor fault per page (~2k faults at 1m points). Ask for
+  // transparent huge pages on the page-aligned interior; a kernel without
+  // (or with disabled) THP just returns EINVAL/ENOMEM and nothing changes.
+  {
+    const auto page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
+    const auto lo =
+        (reinterpret_cast<uintptr_t>(leaf_coords_.get()) + page - 1) &
+        ~(page - 1);
+    const auto hi = (reinterpret_cast<uintptr_t>(leaf_coords_.get()) +
+                     leaf_coords_len_ * sizeof(double)) &
+                    ~(page - 1);
+    if (hi > lo) {
+      (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
     }
-#endif
-    const size_t live = ((n - 1) / kDistanceStrip) * kDistanceStrip * dim;
-    std::fill(leaf_coords_.get() + live, leaf_coords_.get() + leaf_coords_len_,
-              0.0);
   }
+#endif
+  const size_t live = ((n - 1) / kDistanceStrip) * kDistanceStrip * dim;
+  std::fill(leaf_coords_.get() + live, leaf_coords_.get() + leaf_coords_len_,
+            0.0);
 
   unsigned threads = options.build_threads;
   if (threads == 0) {
@@ -212,15 +209,15 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
   }
 
   if (end - begin <= static_cast<u32>(leaf_size_)) {
-    // Size-bounded leaf. Reorder mode scatters the rows into the
-    // strip-transposed buffer in place (no build-then-copy), fused with the
-    // bounding-box reduction in a single pass over the rows.
-    if (leaf_coords_ != nullptr && dim <= kMaxFusedDim) {
+    // Size-bounded leaf: scatter the rows into the strip-transposed buffer
+    // in place (no build-then-copy), fused with the bounding-box reduction
+    // in a single pass over the rows.
+    if (dim <= kMaxFusedDim) {
       // STACK-LOCAL min/max accumulators: locals provably don't alias the
       // lane stores, so the accumulators live in registers/L1 instead of
-      // the load-modify-store chain on b that the legacy branch pays per
-      // element (b could alias the coordinate loads as far as the compiler
-      // can prove).
+      // the load-modify-store chain on b that the per-row loop below pays
+      // per element (b could alias the coordinate loads as far as the
+      // compiler can prove).
       double lo[kMaxFusedDim], hi[kMaxFusedDim];
       for (int d = 0; d < dim; ++d) {
         lo[d] = std::numeric_limits<double>::infinity();
@@ -242,10 +239,9 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
         b[2 * d + 1] = hi[d];
       }
     } else {
-      // Legacy layout, or a dimensionality too wide for the stack
-      // accumulators (rare): plain per-row box update, plus the strip
-      // export when the packed layout is on.
-      if (leaf_coords_ != nullptr) export_leaf_strips(begin, end);
+      // A dimensionality too wide for the stack accumulators (rare): the
+      // strip export plus a plain per-row box update.
+      export_leaf_strips(begin, end);
       for (u32 i = begin; i < end; ++i) {
         const auto p = points_[ids_[i]];
         for (int d = 0; d < dim; ++d) {
@@ -280,7 +276,7 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
   // Degenerate spread (all coordinates equal): keep as leaf to guarantee
   // termination.
   if (best_spread <= 0.0) {
-    if (leaf_coords_ != nullptr) export_leaf_strips(begin, end);
+    export_leaf_strips(begin, end);
     nodes_[static_cast<size_t>(idx)] = node;
     return;
   }
@@ -347,7 +343,7 @@ void KdTree::range_query_budgeted(std::span<const double> q, double eps,
                                   const QueryBudget& budget,
                                   std::vector<PointId>& out) const {
   if (root_ < 0) return;
-  QueryState st{eps, eps * eps, &budget, &out};
+  QueryState st{eps * eps, &budget, &out};
   st.kernel = simd::detail::strip_kernel();
   run_query(q, st);
   // One thread-local flush per query instead of one per node/evaluation;
@@ -388,13 +384,12 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       continue;
     }
 
-    if (strips != nullptr && st.budget->max_neighbors != 0) {
-      // Neighbor-budgeted leaf scan, still through the strip kernel: the
-      // mask walk reconstructs the scalar loop's exact stop row and
-      // distance_evals charge (see strip_scan_budgeted), so wide vector-era
-      // leaves don't degrade the paper's pruned 1M-point mode to per-row
-      // scalar evaluation. Output, counters, and the stop point are byte-
-      // identical to the scalar path below.
+    if (st.budget->max_neighbors != 0) {
+      // Neighbor-budgeted leaf scan through the strip kernel: the mask walk
+      // reconstructs the exact stop row and distance_evals charge of a
+      // row-at-a-time scalar loop (see strip_scan_budgeted), so wide
+      // vector-era leaves don't degrade the paper's pruned 1M-point mode to
+      // per-row scalar evaluation.
       const bool stop = strip_scan_budgeted(
           st.kernel, q, st.eps2, strips, node.begin, node.end,
           st.budget->max_neighbors, st.found, st.distance_evals,
@@ -402,52 +397,34 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       if (stop) return;
       continue;
     }
-    if (strips != nullptr) {
-      // Hot path: stream the strip-transposed blocks through the dispatched
-      // SIMD kernel and walk the returned eps-decision mask. A leaf may
-      // enter its first block at any lane offset; segments never cross a
-      // block boundary. Ascending bit order is ascending position, so
-      // candidate order matches the scalar path (ids_ order). The
-      // distance_evals tally charges one evaluation per candidate row,
-      // matching the scalar path's count exactly — the kernel's internal
-      // partial-distance abandonment is an implementation detail of the
-      // evaluation, like box_distance2's monotone early exit, and never
-      // shows up in the counters.
-      st.distance_evals += node.end - node.begin;
-      for (u32 i = node.begin; i < node.end;) {
-        const u32 lane = i % static_cast<u32>(kDistanceStrip);
-        const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                    node.end - i);
-        if (i + m < node.end) {
-          // Start the next segment's first dimension rows toward L1 while
-          // the kernel chews this one; a leaf spans several strip blocks
-          // and the blocks are not adjacent in memory.
-          __builtin_prefetch(strip_lane(strips, i + m, dim));
-          __builtin_prefetch(strip_lane(strips, i + m, dim) + 8);
-        }
-        u32 mask =
-            st.kernel(q.data(), dim, st.eps2, strip_lane(strips, i, dim), m);
-        while (mask != 0) {
-          const u32 j = static_cast<u32>(std::countr_zero(mask));
-          st.out->push_back(ids_[i + j]);
-          mask &= mask - 1;
-        }
-        i += m;
+    // Stream the strip-transposed blocks through the dispatched SIMD kernel
+    // and walk the returned eps-decision mask. A leaf may enter its first
+    // block at any lane offset; segments never cross a block boundary.
+    // Ascending bit order is ascending position, so candidates come out in
+    // ids_ order. The distance_evals tally charges one evaluation per
+    // candidate row — the kernel's internal partial-distance abandonment is
+    // an implementation detail of the evaluation, like box_distance2's
+    // monotone early exit, and never shows up in the counters.
+    st.distance_evals += node.end - node.begin;
+    for (u32 i = node.begin; i < node.end;) {
+      const u32 lane = i % static_cast<u32>(kDistanceStrip);
+      const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
+                                  node.end - i);
+      if (i + m < node.end) {
+        // Start the next segment's first dimension rows toward L1 while the
+        // kernel chews this one; a leaf spans several strip blocks and the
+        // blocks are not adjacent in memory.
+        __builtin_prefetch(strip_lane(strips, i + m, dim));
+        __builtin_prefetch(strip_lane(strips, i + m, dim) + 8);
       }
-      continue;
-    }
-    // Scalar path: legacy (reorder=false) layout only — the reference the
-    // strip paths above are bit-identical to, budgeted or not.
-    for (u32 i = node.begin; i < node.end; ++i) {
-      ++st.distance_evals;
-      if (squared_distance_uncounted(q, row(i)) <= st.eps2) {
-        st.out->push_back(ids_[i]);
-        ++st.found;
-        if (st.budget->max_neighbors != 0 &&
-            st.found >= st.budget->max_neighbors) {
-          return;
-        }
+      u32 mask =
+          st.kernel(q.data(), dim, st.eps2, strip_lane(strips, i, dim), m);
+      while (mask != 0) {
+        const u32 j = static_cast<u32>(std::countr_zero(mask));
+        st.out->push_back(ids_[i + j]);
+        mask &= mask - 1;
       }
+      i += m;
     }
   }
 }
@@ -546,9 +523,8 @@ void KdTree::run_block(BlockState& st) const {
 void KdTree::range_query_batch(std::span<const PointId> queries, double eps,
                                const QueryBudget& budget,
                                NeighborhoodCsr& out) const {
-  if (!budget.exact() || leaf_coords_ == nullptr) {
-    // Budgets stop a query mid-walk, and the legacy layout has no strips:
-    // both keep the per-query loop.
+  if (!budget.exact()) {
+    // Budgets stop a query mid-walk: keep the per-query loop.
     SpatialIndex::range_query_batch(queries, eps, budget, out);
     return;
   }
@@ -640,8 +616,7 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
   // pruning is simpler and the call sites (examples, tests, the exact kNN
   // graph builder's oracle) are small.
   const double* strips = leaf_coords_.get();
-  const simd::StripKernelFn kernel =
-      strips != nullptr ? simd::detail::strip_kernel() : nullptr;
+  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
   auto visit = [&](auto&& self, i32 node_id) -> void {
     // Node budget: stop descending once the cap is reached (max_neighbors
     // is ignored for kNN — see the contract in spatial_index.hpp).
@@ -659,18 +634,17 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
       // The kernel contract requires a finite eps^2; a heap of overflowed
       // (inf) distances — possible with ~1e154-magnitude coordinates —
       // falls back to the scalar loop.
-      if (strips != nullptr && heap.size() == k &&
-          std::isfinite(heap.top().first)) {
+      if (heap.size() == k && std::isfinite(heap.top().first)) {
         // Kernel-filtered leaf scan: with the heap full, a row can only
         // matter if (d2, id) < heap.top(), which requires d2 <= top.d2 —
         // and top.d2 never increases — so the kernel mask at cutoff =
         // top.d2-at-leaf-entry (its <= keeps the d2 == cutoff rows the
-        // id tie-break may still admit) is a superset of every row the
-        // scalar loop below would insert. Survivors get the exact distance
-        // from the same unfused scalar accumulation, so the heap evolves
-        // identically; rows the filter drops satisfy d2 > cutoff >=
-        // top.d2-current and were no-ops anyway. Charged one eval per row,
-        // exactly like the scalar loop.
+        // id tie-break may still admit) is a superset of every row a
+        // scalar loop would insert. Survivors get the exact distance from
+        // the same unfused scalar accumulation, so the heap evolves exactly
+        // as under the scalar loop below; rows the filter drops satisfy
+        // d2 > cutoff >= top.d2-current and were no-ops anyway. Charged one
+        // eval per row, exactly like the scalar loop.
         evals += node.end - node.begin;
         const double cutoff = heap.top().first;
         for (u32 i = node.begin; i < node.end;) {
@@ -696,8 +670,8 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
         }
         return;
       }
-      // Scalar leaf scan — always while the heap is filling (the first
-      // leaves), and the whole query on legacy (reorder=false) trees.
+      // Scalar leaf scan while the heap is filling (the first leaves), or
+      // once its k-th distance has overflowed to inf.
       for (u32 i = node.begin; i < node.end; ++i) {
         ++evals;
         const Entry cand{squared_distance_uncounted(q, row(i)), ids_[i]};

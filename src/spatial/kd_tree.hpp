@@ -9,13 +9,13 @@
 // structure to a sequential build. Sequential builds (build_threads <= 1,
 // or below the size threshold) skip the parallel machinery entirely —
 // plain slot counters, no atomics, no pool.
-// Layout: with `reorder` on (the default), the tree keeps a strip-transposed
-// (SoA) copy of the coordinates in leaf-traversal order — blocks of
-// kDistanceStrip points stored dimension-major (see distance_simd.hpp) —
-// filled IN PLACE as each leaf is finalized during the build, so the packed
-// layout costs the leaf stores only, not a second full pass. Leaf scans
-// stream the blocks through the runtime-dispatched SIMD strip kernel;
-// ids_ doubles as the remap table back to original PointIds.
+// Layout: the tree keeps a strip-transposed (SoA) copy of the coordinates in
+// leaf-traversal order — blocks of kDistanceStrip points stored
+// dimension-major (see distance_simd.hpp) — filled IN PLACE as each leaf is
+// finalized during the build, so the packed layout costs the leaf stores
+// only, not a second full pass. Leaf scans stream the blocks through the
+// runtime-dispatched SIMD strip kernel; ids_ doubles as the remap table
+// back to original PointIds.
 // Query: classic ball-overlap descent with AABB pruning; an optional
 // QueryBudget implements the paper's "kd-tree with pruning branches"
 // approximation used for the 1M-point experiments (it bounds the neighbor
@@ -24,13 +24,13 @@
 // locally during the descent and flushed once per query (counters::add) —
 // exact totals, one thread-local access per query.
 // Batched query (range_query_batch, the executor's entry point): exact
-// queries on the strip layout are put in tree order (an n-bit scratch
-// bitmap walked against ids_, so nothing is stored) and answered 32 at a
-// time by one shared descent. A stack frame carries the mask of lanes whose
-// own descent reaches the node; one box-kernel call per node tests them
-// all, and every passing lane scans a leaf while it is hot in L1. Lists,
-// their order (restored from a per-hit far-side path key) and the counters
-// equal the per-query loop's exactly (DESIGN.md §14).
+// queries are put in tree order (an n-bit scratch bitmap walked against
+// ids_, so nothing is stored) and answered 32 at a time by one shared
+// descent. A stack frame carries the mask of lanes whose own descent
+// reaches the node; one box-kernel call per node tests them all, and every
+// passing lane scans a leaf while it is hot in L1. Lists, their order
+// (restored from a per-hit far-side path key) and the counters equal the
+// per-query loop's exactly (DESIGN.md §14).
 #pragma once
 
 #include <memory>
@@ -40,8 +40,7 @@
 
 namespace sdb {
 
-/// Build-time knobs. The defaults are the fast path; the legacy flags exist
-/// for parity tests and before/after benchmarking (bench_hotpath).
+/// Build-time knobs.
 struct KdTreeOptions {
   /// Leaf bucket capacity. 192 is the vector-era tuning: wider leaves
   /// convert expensive per-node box tests into strip-kernel lanes that cost
@@ -54,10 +53,6 @@ struct KdTreeOptions {
   /// 1 = fully sequential. Parallelism only engages above a size threshold,
   /// so small builds never pay thread-spawn cost.
   unsigned build_threads = 0;
-  /// Keep the strip-transposed leaf-order coordinate copy (one extra
-  /// ~n*dim*8-byte buffer, reflected in byte_size()). false = legacy gather
-  /// path (scalar per-point evaluation through the id permutation).
-  bool reorder = true;
 };
 
 class ThreadPool;
@@ -65,10 +60,11 @@ class ThreadPool;
 class KdTree final : public SpatialIndex {
  public:
   /// Build over all points in `points`. The tree keeps a reference to the
-  /// PointSet (and, with reorder on, a strip-transposed coordinate
-  /// snapshot); the caller must keep it alive and unmutated for the tree's
-  /// lifetime — post-build mutations would not be reflected in the packed
-  /// layout, the split structure, or the bounding boxes.
+  /// PointSet and a strip-transposed coordinate snapshot (one extra
+  /// ~n*dim*8-byte buffer, reflected in byte_size()); the caller must keep
+  /// the PointSet alive and unmutated for the tree's lifetime — post-build
+  /// mutations would not be reflected in the packed layout, the split
+  /// structure, or the bounding boxes.
   explicit KdTree(const PointSet& points, int leaf_size = 192)
       : KdTree(points, KdTreeOptions{.leaf_size = leaf_size}) {}
 
@@ -82,9 +78,8 @@ class KdTree final : public SpatialIndex {
                             std::vector<PointId>& out) const override;
 
   /// Block range queries (see SpatialIndex::range_query_batch). Exact
-  /// queries on the strip layout are ordered by tree position and answered
-  /// kDistanceStrip at a time by one shared descent; budgeted queries and
-  /// reorder=false trees take the per-query loop.
+  /// queries are ordered by tree position and answered kDistanceStrip at a
+  /// time by one shared descent; budgeted queries take the per-query loop.
   void range_query_batch(std::span<const PointId> queries, double eps,
                          const QueryBudget& budget,
                          NeighborhoodCsr& out) const override;
@@ -113,8 +108,6 @@ class KdTree final : public SpatialIndex {
   /// Number of internal + leaf nodes (exposed for tests/benches).
   [[nodiscard]] size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] int depth() const { return depth_; }
-  /// Whether the strip-transposed leaf-order coordinate buffer is active.
-  [[nodiscard]] bool reordered() const { return leaf_coords_len_ != 0; }
 
  private:
   struct Node {
@@ -151,7 +144,6 @@ class KdTree final : public SpatialIndex {
   static constexpr int kQueryStackCap = 64;
 
   struct QueryState {
-    double eps;
     double eps2;
     const QueryBudget* budget;
     std::vector<PointId>* out;
@@ -172,9 +164,8 @@ class KdTree final : public SpatialIndex {
   void run_block(BlockState& st) const;
 
   /// Row i of the build permutation: the coordinates of point ids_[i]. The
-  /// strip buffer has no contiguous rows, so scalar consumers (knn, the
-  /// budgeted fallback) gather through the id permutation — the same doubles
-  /// bit-for-bit.
+  /// strip buffer has no contiguous rows, so scalar consumers (knn) gather
+  /// through the id permutation — the same doubles bit-for-bit.
   [[nodiscard]] std::span<const double> row(u32 i) const {
     return points_[ids_[i]];
   }
@@ -204,10 +195,10 @@ class KdTree final : public SpatialIndex {
                               // the remap table: position -> original PointId
   std::vector<Node> nodes_;
   std::vector<double> boxes_;  // per node: interleaved [lo, hi] per dim
-  // Strip-transposed leaf-order coordinates (see distance_simd.hpp);
-  // len == 0 when reorder is off. unique_ptr + explicit length instead of a
-  // vector so the build can allocate without a redundant zero-fill (only the
-  // final block's padding lanes need zeroing).
+  // Strip-transposed leaf-order coordinates (see distance_simd.hpp).
+  // unique_ptr + explicit length instead of a vector so the build can
+  // allocate without a redundant zero-fill (only the final block's padding
+  // lanes need zeroing).
   std::unique_ptr<double[]> leaf_coords_;
   size_t leaf_coords_len_ = 0;
   i32 root_ = -1;

@@ -321,8 +321,8 @@ void RTree::query_node(i32 node_id, std::span<const double> q, double eps2,
   if (node.leaf) {
     // One eval per leaf entry examined, tallied locally and flushed once
     // per query by the caller — the same charging rule and granularity as
-    // the kd-tree and grid paths (this used to go through the counted
-    // squared_distance wrapper per row and counters::tree_nodes per node).
+    // the kd-tree path (this used to go through the counted squared_distance
+    // wrapper per row and counters::tree_nodes per node).
     for (const i32 id : node.children) {
       ++evals;
       if (squared_distance_uncounted(q, points_[id]) <= eps2) {

@@ -33,7 +33,7 @@ class RTree final : public SpatialIndex {
   /// Unified kNN (see SpatialIndex::knn_query): depth-first descent with
   /// children visited in ascending (rect distance, child index) order and
   /// subtrees pruned when their rectangle's distance strictly exceeds the
-  /// current k-th (d2, id) heap top. Same charging rule as kd/grid: one
+  /// current k-th (d2, id) heap top. Same charging rule as the kd-tree: one
   /// distance_eval per leaf entry examined, one tree_node per node visited,
   /// flushed once per query.
   void knn_query(std::span<const double> q, size_t k,

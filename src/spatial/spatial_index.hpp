@@ -3,7 +3,7 @@
 // DBSCAN (Algorithm 1/2 in the paper) only needs one spatial primitive:
 // "all points within eps of q". The paper uses a kd-tree broadcast to every
 // executor; this interface lets the clustering code run against the kd-tree,
-// a uniform grid, or the naive O(n^2) scan so the paper's complexity claims
+// an R-tree, or the naive O(n^2) scan so the paper's complexity claims
 // (Section V.B) can be measured rather than asserted.
 #pragma once
 
@@ -24,8 +24,8 @@ namespace sdb {
 ///
 ///  * DETERMINISM. Every index has a fixed candidate traversal order — the
 ///    kd-tree descends the child containing the query first and scans leaf
-///    buckets in build-permutation order; the grid walks neighbor cells in
-///    odometer order and cells in id order; brute force scans ids
+///    buckets in build-permutation order; the R-tree visits children and
+///    leaf entries in their stored node order; brute force scans ids
 ///    ascending. A budgeted query returns exactly the first matches of that
 ///    traversal until a budget fires, so repeated invocations with the same
 ///    index, query, and budget return the *identical* sequence. The
@@ -46,8 +46,7 @@ namespace sdb {
 struct QueryBudget {
   /// Stop reporting once this many neighbors were found (0 = exact).
   u64 max_neighbors = 0;
-  /// Stop descending once this many tree nodes / grid cells were visited
-  /// (0 = exact).
+  /// Stop descending once this many tree nodes were visited (0 = exact).
   u64 max_nodes = 0;
 
   [[nodiscard]] bool exact() const {
@@ -111,25 +110,24 @@ class SpatialIndex {
   /// pairs under lexicographic order. That makes the exact result unique —
   /// independent of index structure, leaf size, build thread count, and
   /// SIMD variant — so every index returns byte-identical hit lists for the
-  /// same dataset (regression-tested across all four in test_knn_queries).
+  /// same dataset (regression-tested across all three in test_knn_queries).
   ///
-  /// COUNTER CONTRACT (unified across kd-tree / grid / R-tree / brute
-  /// force; the R-tree previously had no kNN path at all and the kd-tree
-  /// charged per node rather than per query):
+  /// COUNTER CONTRACT (unified across kd-tree / R-tree / brute force; the
+  /// R-tree previously had no kNN path at all and the kd-tree charged per
+  /// node rather than per query):
   ///   * distance_evals: exactly ONE per candidate row the traversal
   ///     examines, charged whether or not the row enters the heap, and
   ///     regardless of SIMD partial-distance abandonment or kernel cutoff
   ///     filtering (both are implementation details of the evaluation, as
   ///     in range queries). A traversal forced to examine every row (k >=
-  ///     n, or a single-leaf/single-cell layout) charges exactly n on every
-  ///     index.
-  ///   * tree_nodes: one per tree node / grid cell the traversal visits
-  ///     (zero for brute force, which has no nodes).
+  ///     n, or a single-leaf layout) charges exactly n on every index.
+  ///   * tree_nodes: one per tree node the traversal visits (zero for brute
+  ///     force, which has no nodes).
   ///   * All tallies are accumulated locally and flushed once per query
   ///     (counters::add), like range_query.
   ///
   /// BUDGET SEMANTICS for kNN (previously undocumented):
-  ///   * budget.max_nodes bounds the nodes/cells visited, exactly as in
+  ///   * budget.max_nodes bounds the nodes visited, exactly as in
   ///     range queries: the traversal stops descending once the cap is
   ///     reached, and the result is the EXACT kNN (with the same tie-break)
   ///     of the rows actually examined — deterministic, because traversal

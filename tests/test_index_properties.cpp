@@ -10,7 +10,6 @@
 
 #include "geom/distance.hpp"
 #include "spatial/brute_force.hpp"
-#include "spatial/grid_index.hpp"
 #include "spatial/kd_tree.hpp"
 #include "spatial/r_tree.hpp"
 #include "synth/generators.hpp"
@@ -44,9 +43,8 @@ TEST_P(AllIndexesAgree, ExactQueriesIdentical) {
   const PointSet ps = clustered_points(900, dim, 71 + static_cast<u64>(dim));
   const KdTree kd(ps);
   const RTree rt(ps);
-  const GridIndex grid(ps, eps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &grid, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &rt, &brute};
 
   Rng rng(9);
   for (int trial = 0; trial < 25; ++trial) {
@@ -103,15 +101,12 @@ TEST_P(IndexParityAdversarial, AllIndexesAndLayoutsAgree) {
   const auto [dim, eps] = GetParam();
   const PointSet ps =
       adversarial_points(700, dim, eps, 113 + static_cast<u64>(dim));
-  const KdTree kd_legacy(ps, KdTreeOptions{.build_threads = 1,
-                                           .reorder = false});
-  const KdTree kd_blocked(ps, KdTreeOptions{.build_threads = 4,
-                                            .reorder = true});
+  const KdTree kd(ps);
+  const KdTree kd_deep(ps, KdTreeOptions{.leaf_size = 4});
   const RTree rt(ps);
-  const GridIndex grid(ps, eps);
   const BruteForceIndex brute(ps);
-  const std::vector<const SpatialIndex*> indexes = {&kd_legacy, &kd_blocked,
-                                                    &rt, &grid, &brute};
+  const std::vector<const SpatialIndex*> indexes = {&kd, &kd_deep, &rt,
+                                                    &brute};
   Rng rng(17);
   for (int trial = 0; trial < 30; ++trial) {
     const PointId q = static_cast<PointId>(rng.uniform_index(ps.size()));
@@ -189,22 +184,13 @@ TEST_P(BatchedRangeQuery, MatchesPerQueryForEveryIndexAndBudget) {
   // and boundary hits are common.
   const PointSet ps =
       adversarial_points(700, dim, eps, 211 + static_cast<u64>(dim));
-  const KdTree kd_legacy(ps, KdTreeOptions{.build_threads = 1,
-                                           .reorder = false});
-  const KdTree kd_blocked(ps, KdTreeOptions{.build_threads = 4,
-                                            .reorder = true});
+  const KdTree kd(ps);
   // Small leaves: deep trees, so the path-key order does real work.
-  const KdTree kd_deep(ps, KdTreeOptions{.leaf_size = 4,
-                                         .build_threads = 1,
-                                         .reorder = true});
+  const KdTree kd_deep(ps, KdTreeOptions{.leaf_size = 4});
   const RTree rt(ps);
-  const GridIndex grid(ps, eps);
   const BruteForceIndex brute(ps);
-  std::vector<const SpatialIndex*> indexes = {&kd_legacy, &kd_blocked,
-                                              &kd_deep,   &rt,
-                                              &brute};
-  // A grid query probes 3^d cells: only the low dimensions are tractable.
-  if (dim <= 3) indexes.push_back(&grid);
+  const std::vector<const SpatialIndex*> indexes = {&kd, &kd_deep, &rt,
+                                                    &brute};
   const std::vector<QueryBudget> budgets = {
       QueryBudget{}, QueryBudget{.max_neighbors = 3},
       QueryBudget{.max_nodes = 6}};
@@ -294,6 +280,86 @@ TEST(BudgetLaws, BudgetedIsSubsetOfExactForAllIndexes) {
       }
     }
   }
+}
+
+TEST(BudgetLaws, KdTreeNeighborBudgetReturnsExactPrefix) {
+  // With only max_neighbors set the descent is the exact one, cut short:
+  // the budgeted list is the first min(k, |exact|) ids of the exact list,
+  // in the exact list's order.
+  for (const int dim : {2, 10}) {
+    const PointSet ps =
+        clustered_points(1500, dim, 149 + static_cast<u64>(dim));
+    for (const int leaf : {4, 192}) {
+      const KdTree kd(ps, KdTreeOptions{.leaf_size = leaf, .build_threads = 1});
+      for (PointId q = 0; q < static_cast<PointId>(ps.size()); q += 37) {
+        std::vector<PointId> exact;
+        kd.range_query(ps[q], 6.0, exact);
+        for (const u64 k : {u64{1}, u64{2}, u64{5}, u64{31}, u64{32},
+                            u64{33}, u64{200}}) {
+          std::vector<PointId> limited;
+          kd.range_query_budgeted(ps[q], 6.0, QueryBudget{.max_neighbors = k},
+                                  limited);
+          const size_t keep = std::min<size_t>(k, exact.size());
+          EXPECT_EQ(limited, std::vector<PointId>(exact.begin(),
+                                                  exact.begin() + keep))
+              << "dim=" << dim << " leaf=" << leaf << " q=" << q
+              << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(BudgetLaws, BruteForceBudgetedEqualsScalarLoop) {
+  // A layout-free oracle for strip_scan_budgeted: brute force scans ids
+  // ascending, so its neighbor-budgeted query must equal a row-at-a-time
+  // scalar loop — the same ids, and one distance_eval per row up to and
+  // including the row that fills the budget (every row when it never
+  // fills). Sizes straddle the strip width so the stop lands inside a
+  // block, on a block edge and in a ragged tail.
+  for (const size_t n : {size_t{1}, kDistanceStrip - 1, kDistanceStrip,
+                         kDistanceStrip + 1, 3 * kDistanceStrip + 5,
+                         size_t{400}}) {
+    // The first n rows of an adversarial set (duplicates, exactly-eps
+    // partners), so the size is exactly n.
+    const double eps = 8.0;
+    const PointSet all =
+        adversarial_points(static_cast<i64>(n), 4, eps, 157 + n);
+    PointSet ps(4);
+    for (PointId i = 0; i < static_cast<PointId>(n); ++i) ps.add(all[i]);
+    const BruteForceIndex brute(ps);
+    for (const u64 k : {u64{1}, u64{3}, u64{31}, u64{32}, u64{33}, u64{64}}) {
+      for (PointId q = 0; q < static_cast<PointId>(ps.size()); q += 5) {
+        std::vector<PointId> want;
+        u64 want_evals = 0;
+        for (PointId i = 0; i < static_cast<PointId>(ps.size()); ++i) {
+          ++want_evals;
+          if (squared_distance_uncounted(ps[q], ps[i]) <= eps * eps) {
+            want.push_back(i);
+            if (want.size() == k) break;
+          }
+        }
+        WorkCounters wc;
+        std::vector<PointId> got;
+        {
+          ScopedCounters scope(&wc);
+          brute.range_query_budgeted(ps[q], eps,
+                                     QueryBudget{.max_neighbors = k}, got);
+        }
+        EXPECT_EQ(got, want) << "n=" << n << " q=" << q << " k=" << k;
+        EXPECT_EQ(wc.distance_evals, want_evals)
+            << "n=" << n << " q=" << q << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(BruteForce, SelfIncluded) {
+  const PointSet ps = clustered_points(50, 3, 13);
+  BruteForceIndex brute(ps);
+  std::vector<PointId> out;
+  brute.range_query(ps[7], 0.0001, out);
+  EXPECT_NE(std::find(out.begin(), out.end(), 7), out.end());
 }
 
 TEST(KnnLaws, KGreaterThanNReturnsAll) {

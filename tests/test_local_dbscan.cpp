@@ -296,7 +296,7 @@ TEST(LocalDbscan, BatchedNeighborhoodsMatchPerQuerySweep) {
   // local_dbscan answers the partition's neighborhoods in one batched call;
   // local_sweep driven by one range query per point is the reference. The
   // result and every work counter must come out byte-identical, for every
-  // partitioner, seed strategy, tree layout and budget.
+  // partitioner, seed strategy, leaf size and budget.
   Rng rng(29);
   synth::GaussianMixtureConfig gcfg;
   gcfg.n = 1200;
@@ -306,11 +306,10 @@ TEST(LocalDbscan, BatchedNeighborhoodsMatchPerQuerySweep) {
   gcfg.noise_fraction = 0.1;
   gcfg.box_side = 30.0;
   const PointSet ps = synth::gaussian_clusters(gcfg, rng);
-  const KdTree blocked(ps);
+  const KdTree wide(ps);
   const KdTree deep(ps, KdTreeOptions{.leaf_size = 8});
-  const KdTree legacy(ps, KdTreeOptions{.reorder = false});
   const std::vector<std::pair<const char*, const KdTree*>> trees = {
-      {"blocked", &blocked}, {"deep", &deep}, {"legacy", &legacy}};
+      {"wide", &wide}, {"deep", &deep}};
   const std::vector<QueryBudget> budgets = {QueryBudget{},
                                             QueryBudget{.max_neighbors = 6}};
   for (const PartitionerKind kind :
