@@ -8,9 +8,9 @@
 //                    uses a fresh checkpoint dir, so every partition record
 //                    is staged, fsync'd by the filesystem's own policy, and
 //                    renamed);
-//   registry WAL   — ns per ModelRegistry::insert with the write-ahead log
-//                    off vs on (append + flush per mutation, publish marker
-//                    every `publish_every`);
+//   registry WAL   — ns per single-insert ModelRegistry::apply_batch with
+//                    the write-ahead log off vs on (append + flush per
+//                    mutation, publish marker every `publish_every`);
 //   recovery       — wall time to reopen a registry over a WAL of N
 //                    committed mutations (replay cost), and after compact()
 //                    (snapshot-load cost) — the two restart paths.
@@ -104,7 +104,8 @@ double registry_insert_ns(u64 inserts, bool durable, const fs::path& dir) {
   for (u64 i = 0; i < inserts; ++i) {
     const double coords[2] = {rng.uniform(0.0, 100.0),
                               rng.uniform(0.0, 100.0)};
-    registry.insert(coords);
+    const auto op = dbscan::IncrementalDbscan::BatchOp::make_insert(coords);
+    registry.apply_batch({&op, 1});
   }
   return sw.seconds() / static_cast<double>(inserts) * 1e9;
 }

@@ -4,13 +4,16 @@
 // engine, exact) -> build a ClusterModel snapshot -> bootstrap a
 // ModelRegistry/QueryEngine -> drive open-loop synthetic query traffic and
 // report wall-clock throughput, latency percentiles (p50/p99/p999), cache
-// hit rate, and shed rate. Three phases:
+// hit rate, and shed rate. Reads go through the QueryEngine; writes take
+// the one write path, an IngestPipeline over the same registry. Three
+// phases:
 //
 //   capacity  — pure classify traffic with hot-key skew, big admission
 //               queue: measures sustainable queries/sec (the acceptance
 //               floor is 100k/s on a 100k-point model);
-//   mixed     — classify/lookup/insert blend: exercises the writer path
-//               concurrently with reads;
+//   mixed     — classify/lookup/insert blend: the insert share is submitted
+//               to the IngestPipeline (shed writes counted, the ladder's
+//               rung entries reported) concurrently with the reads;
 //   overload  — tiny admission queue + unpaced submission: demonstrates
 //               backpressure (nonzero shed rate, bounded latency for the
 //               admitted requests).
@@ -41,6 +44,7 @@
 #include "serve/latency_histogram.hpp"
 #include "serve/query_engine.hpp"
 #include "spatial/kd_tree.hpp"
+#include "stream/ingest_pipeline.hpp"
 #include "synth/generators.hpp"
 #include "util/flags.hpp"
 #include "util/rng.hpp"
@@ -62,15 +66,20 @@ struct PhaseResult {
   std::string name;
   double wall_s = 0.0;
   MetricsSnapshot metrics;
+  stream::StreamMetrics writes;  ///< the phase's pipeline; zero if read-only
 };
 
-/// Open-loop generator: submits batches as fast as it can for `seconds`,
-/// with `hot_fraction` of classify queries drawn from a small hot set of
-/// repeated points (the skew that makes the LRU cache earn its keep).
+/// Open-loop generator: submits read batches to `engine` and insert rolls
+/// to `writes` as fast as it can for `seconds`, with `hot_fraction` of
+/// classify queries drawn from a small hot set of repeated points (the skew
+/// that makes the LRU cache earn its keep). `writes` may be null when the
+/// mix has no inserts.
 PhaseResult run_phase(const std::string& name, QueryEngine& engine,
-                      const PointSet& points, const TrafficMix& mix,
-                      double seconds, size_t batch_size, double hot_fraction,
-                      size_t hot_keys, u64 seed) {
+                      stream::IngestPipeline* writes, const PointSet& points,
+                      const TrafficMix& mix, double seconds, size_t batch_size,
+                      double hot_fraction, size_t hot_keys, u64 seed) {
+  SDB_CHECK(mix.insert == 0.0 || writes != nullptr,
+            "an insert mix needs an ingest pipeline");
   Rng rng(seed);
   // Pre-draw the hot set from real points so hot queries hit clusters.
   std::vector<std::vector<double>> hot;
@@ -86,6 +95,7 @@ PhaseResult run_phase(const std::string& name, QueryEngine& engine,
   Stopwatch wall;
   std::vector<Request> batch;
   batch.reserve(batch_size);
+  std::vector<double> insert_point(2);
   while (wall.seconds() < seconds) {
     batch.clear();
     for (size_t i = 0; i < batch_size; ++i) {
@@ -106,8 +116,9 @@ PhaseResult run_phase(const std::string& name, QueryEngine& engine,
         req.type = RequestType::kLookup;
         req.id = static_cast<PointId>(rng.uniform_index(points.size()));
       } else {
-        req.type = RequestType::kInsert;
-        req.point = {rng.uniform(), rng.uniform()};
+        insert_point = {rng.uniform(), rng.uniform()};
+        writes->submit_insert(insert_point);  // shed writes: pipeline metrics
+        continue;
       }
       batch.push_back(std::move(req));
     }
@@ -120,6 +131,8 @@ PhaseResult run_phase(const std::string& name, QueryEngine& engine,
   PhaseResult result;
   result.name = name;
   result.wall_s = wall.seconds();
+  // The write backlog drains outside the read window (qps counts reads).
+  if (writes != nullptr) writes->drain();
   // Report this phase's deltas, not cumulative engine totals.
   MetricsSnapshot after = engine.metrics();
   after.submitted -= before.submitted;
@@ -127,7 +140,6 @@ PhaseResult run_phase(const std::string& name, QueryEngine& engine,
   after.shed -= before.shed;
   after.completed -= before.completed;
   after.invalid -= before.invalid;
-  after.degraded -= before.degraded;
   after.degraded_model_reads -= before.degraded_model_reads;
   after.cache_hits -= before.cache_hits;
   after.cache_misses -= before.cache_misses;
@@ -139,6 +151,7 @@ PhaseResult run_phase(const std::string& name, QueryEngine& engine,
     after.classify_latency.counts[b] -= before.classify_latency.counts[b];
   }
   result.metrics = after;
+  if (writes != nullptr) result.writes = writes->metrics();
   return result;
 }
 
@@ -365,7 +378,9 @@ void write_topology_json(const std::string& path, bool smoke, u64 seed,
   // Single-node phases, with the backpressure/degradation counters the
   // streaming ladder surfaces (shed + shed_rate prove admission control
   // engaged in the overload phase; degraded_model_reads counts replies
-  // answered from a DBSCAN++-subsampled snapshot).
+  // answered from a DBSCAN++-subsampled snapshot; writes_* and
+  // rung_entries are the phase's IngestPipeline, zero for read-only
+  // phases).
   std::fprintf(f, "  \"phases\": [\n");
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseResult& p = phases[i];
@@ -379,7 +394,9 @@ void write_topology_json(const std::string& path, bool smoke, u64 seed,
         "     \"p50us\": %.2f, \"p99us\": %.2f, \"p999us\": %.2f,\n"
         "     \"submitted\": %llu, \"accepted\": %llu, \"shed\": %llu, "
         "\"shed_rate\": %.4f,\n"
-        "     \"degraded\": %llu, \"degraded_model_reads\": %llu}%s\n",
+        "     \"degraded_model_reads\": %llu, \"writes_accepted\": %llu, "
+        "\"writes_shed\": %llu, \"writes_acked\": %llu,\n"
+        "     \"rung_entries\": [%llu, %llu, %llu, %llu]}%s\n",
         p.name.c_str(), p.wall_s,
         static_cast<unsigned long long>(m.completed), qps,
         m.classify_latency.quantile_micros(0.50),
@@ -388,8 +405,14 @@ void write_topology_json(const std::string& path, bool smoke, u64 seed,
         static_cast<unsigned long long>(m.submitted),
         static_cast<unsigned long long>(m.accepted),
         static_cast<unsigned long long>(m.shed), m.shed_rate(),
-        static_cast<unsigned long long>(m.degraded),
         static_cast<unsigned long long>(m.degraded_model_reads),
+        static_cast<unsigned long long>(p.writes.accepted),
+        static_cast<unsigned long long>(p.writes.shed),
+        static_cast<unsigned long long>(p.writes.acked),
+        static_cast<unsigned long long>(p.writes.rung_entries[0]),
+        static_cast<unsigned long long>(p.writes.rung_entries[1]),
+        static_cast<unsigned long long>(p.writes.rung_entries[2]),
+        static_cast<unsigned long long>(p.writes.rung_entries[3]),
         i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -497,7 +520,7 @@ int main(int argc, char** argv) {
   // to border assignment).
   ModelRegistry::Config reg_cfg;
   reg_cfg.params = params;
-  reg_cfg.publish_every = 4096;  // insert traffic republishes at this cadence
+  reg_cfg.publish_every = 0;  // the pipeline owns the epoch cadence
   reg_cfg.model_options = model_options;
   ModelRegistry registry(reg_cfg, points.dim());
   std::printf("bootstrapping registry (incremental re-cluster)...\n");
@@ -521,13 +544,22 @@ int main(int argc, char** argv) {
   std::vector<PhaseResult> phases;
   {
     QueryEngine engine(registry, engine_cfg);
-    phases.push_back(run_phase("capacity", engine, points,
+    phases.push_back(run_phase("capacity", engine, nullptr, points,
                                TrafficMix{1.0, 0.0, 0.0}, secs, batch, hot,
                                hot_keys, seed + 1));
   }
   {
     QueryEngine engine(registry, engine_cfg);
-    phases.push_back(run_phase("mixed", engine, points,
+    // Insert traffic republishes every 4096 ops: one micro-epoch of up to
+    // 4096 inserts per publish (a partial one when the batch deadline
+    // fires first). Queue and lag scales sit well above one epoch so a
+    // single full epoch reads as low pressure on the ladder.
+    stream::IngestPipeline::Config pipe_cfg;
+    pipe_cfg.batch_max = 4096;
+    pipe_cfg.queue_capacity = engine_cfg.queue_capacity;
+    pipe_cfg.lag_capacity = 16.0 * 4096.0;
+    stream::IngestPipeline pipeline(registry, pipe_cfg);
+    phases.push_back(run_phase("mixed", engine, &pipeline, points,
                                TrafficMix{0.90, 0.05, 0.05}, secs, batch, hot,
                                hot_keys, seed + 2));
   }
@@ -538,7 +570,7 @@ int main(int argc, char** argv) {
     QueryEngine::Config overload_cfg = engine_cfg;
     overload_cfg.queue_capacity = 512;
     QueryEngine engine(registry, overload_cfg);
-    phases.push_back(run_phase("overload", engine, points,
+    phases.push_back(run_phase("overload", engine, nullptr, points,
                                TrafficMix{1.0, 0.0, 0.0}, secs, batch, hot,
                                hot_keys, seed + 3));
   }

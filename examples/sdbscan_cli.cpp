@@ -14,8 +14,9 @@
 // --serve keeps the process alive after clustering and answers queries from
 // stdin against a live serving model (src/serve/): `classify x y ...`,
 // `label <id>`, `insert x y ...`, `remove <id>`, `summary`, `save <path>`,
-// `quit`. Inserts/removes update the clustering incrementally and republish
-// snapshots.
+// `quit`. Reads go through a QueryEngine; inserts/removes go through an
+// IngestPipeline (src/stream/), which updates the clustering incrementally
+// and republishes snapshots.
 //
 // With --shards/--replicas above 1, --serve runs the REPLICATED tier
 // (src/replica/) instead: points route to consistent-hash shards, each
@@ -80,12 +81,10 @@ double estimate_eps(const PointSet& points, size_t k) {
 int serve_loop(const PointSet& points, const dbscan::DbscanParams& params,
                double core_sample, const std::string& wal_dir) {
   using namespace sdb::serve;
+  using namespace sdb::stream;
   ModelRegistry::Config reg_cfg;
   reg_cfg.params = params;
-  // Interactive sessions expect an insert/remove to be visible in the very
-  // next query, so republish after every mutation (a real deployment would
-  // raise this to amortize snapshot rebuilds — see bench_serve_load).
-  reg_cfg.publish_every = 1;
+  reg_cfg.publish_every = 0;  // the pipeline owns the epoch cadence
   reg_cfg.model_options.core_sample_fraction = core_sample;
   reg_cfg.wal_dir = wal_dir;  // empty = no durability
   ModelRegistry registry(reg_cfg, points.dim());
@@ -106,6 +105,14 @@ int serve_loop(const PointSet& points, const dbscan::DbscanParams& params,
   QueryEngine::Config eng_cfg;
   eng_cfg.threads = 2;
   QueryEngine engine(registry, eng_cfg);
+  // Interactive sessions expect a write to be visible in the very next
+  // query, so every write is followed by drain(), which applies and
+  // publishes it (a real deployment lets writes coalesce into micro-epochs
+  // — see bench_serve_load).
+  std::optional<Ack> ack;
+  IngestPipeline::Config pipe_cfg;
+  pipe_cfg.on_ack = [&ack](const Ack& a) { ack = a; };
+  IngestPipeline pipeline(registry, pipe_cfg);
   {
     const auto s = registry.model()->summary();
     std::fprintf(stderr,
@@ -143,14 +150,50 @@ int serve_loop(const PointSet& points, const dbscan::DbscanParams& params,
       std::printf("ok saved %s\n", path.c_str());
       continue;
     }
+    if (cmd == "insert" || cmd == "remove") {
+      SubmitResult submitted;
+      if (cmd == "insert") {
+        std::vector<double> point;
+        double v = 0;
+        while (in >> v) point.push_back(v);
+        if (static_cast<int>(point.size()) != registry.dim()) {
+          std::printf("err invalid request (dimension or id)\n");
+          continue;
+        }
+        submitted = pipeline.submit_insert(point);
+      } else {
+        long long id = -1;
+        if (!(in >> id)) {
+          std::printf("err remove needs an id\n");
+          continue;
+        }
+        submitted = pipeline.submit_remove(static_cast<PointId>(id));
+      }
+      if (!submitted.accepted) {
+        std::printf("err overloaded\n");
+        continue;
+      }
+      pipeline.drain();
+      if (ack->dropped) {
+        std::printf("err overloaded\n");
+      } else if (!ack->applied) {
+        std::printf("err not found\n");
+      } else if (cmd == "insert") {
+        std::printf("ok id=%lld epoch=%llu\n",
+                    static_cast<long long>(ack->id),
+                    static_cast<unsigned long long>(registry.epoch()));
+      } else {
+        std::printf("ok removed=%lld\n", static_cast<long long>(ack->id));
+      }
+      continue;
+    }
     Request req;
-    if (cmd == "classify" || cmd == "insert") {
-      req.type = cmd == "classify" ? RequestType::kClassify
-                                   : RequestType::kInsert;
+    if (cmd == "classify") {
+      req.type = RequestType::kClassify;
       double v = 0;
       while (in >> v) req.point.push_back(v);
-    } else if (cmd == "label" || cmd == "remove") {
-      req.type = cmd == "label" ? RequestType::kLookup : RequestType::kRemove;
+    } else if (cmd == "label") {
+      req.type = RequestType::kLookup;
       long long id = -1;
       if (!(in >> id)) {
         std::printf("err %s needs an id\n", cmd.c_str());
@@ -164,18 +207,10 @@ int serve_loop(const PointSet& points, const dbscan::DbscanParams& params,
     const Reply reply = engine.execute(req);
     switch (reply.status) {
       case ReplyStatus::kOk:
-        if (req.type == RequestType::kInsert) {
-          std::printf("ok id=%lld epoch=%llu\n",
-                      static_cast<long long>(reply.id),
-                      static_cast<unsigned long long>(reply.epoch));
-        } else if (req.type == RequestType::kRemove) {
-          std::printf("ok removed=%lld\n", static_cast<long long>(reply.id));
-        } else {
-          std::printf("label=%lld epoch=%llu%s\n",
-                      static_cast<long long>(reply.label),
-                      static_cast<unsigned long long>(reply.epoch),
-                      reply.cache_hit ? " (cached)" : "");
-        }
+        std::printf("label=%lld epoch=%llu%s\n",
+                    static_cast<long long>(reply.label),
+                    static_cast<unsigned long long>(reply.epoch),
+                    reply.cache_hit ? " (cached)" : "");
         break;
       case ReplyStatus::kNotFound:
         std::printf("err not found\n");
@@ -185,9 +220,6 @@ int serve_loop(const PointSet& points, const dbscan::DbscanParams& params,
         break;
       case ReplyStatus::kOverloaded:
         std::printf("err overloaded\n");
-        break;
-      case ReplyStatus::kDegraded:
-        std::printf("err degraded (registry writer stalled; reads still serve)\n");
         break;
     }
   }

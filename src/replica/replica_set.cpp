@@ -7,6 +7,10 @@
 
 namespace sdb::replica {
 
+namespace {
+using Op = dbscan::IncrementalDbscan::BatchOp;
+}  // namespace
+
 ReplicaSet::ReplicaSet(Options options, int dim)
     : options_(std::move(options)), dim_(dim) {
   SDB_CHECK(options_.replicas >= 1, "a replica set needs at least one node");
@@ -52,7 +56,8 @@ std::optional<PointId> ReplicaSet::insert(std::span<const double> coords) {
   const std::scoped_lock lock(mu_);
   std::shared_ptr<serve::ModelRegistry> primary = live_primary_locked();
   if (primary == nullptr) return std::nullopt;
-  const PointId id = primary->insert(coords);
+  const Op op = Op::make_insert(coords);
+  const PointId id = primary->apply_batch({&op, 1})[0].id;
   note_publishes_locked();  // publish_every cadence may have fired
   return id;
 }
@@ -61,7 +66,8 @@ bool ReplicaSet::try_remove(PointId id) {
   const std::scoped_lock lock(mu_);
   std::shared_ptr<serve::ModelRegistry> primary = live_primary_locked();
   if (primary == nullptr) return false;
-  const bool removed = primary->try_remove(id);
+  const Op op = Op::make_remove(id);
+  const bool removed = primary->apply_batch({&op, 1})[0].applied;
   note_publishes_locked();
   return removed;
 }

@@ -100,7 +100,8 @@ class ReplicaSet {
 
   ReplicaSet(Options options, int dim);
 
-  /// --- writes (routed to the primary; nullopt while failed over) ---
+  /// --- writes (routed to the primary as single-op apply_batch calls;
+  /// nullopt while failed over) ---
   [[nodiscard]] std::optional<PointId> insert(std::span<const double> coords);
   bool try_remove(PointId id);
   [[nodiscard]] std::optional<u64> publish();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "fault/injection.hpp"
 #include "util/serialize.hpp"
 
 namespace sdb::serve {
@@ -223,47 +222,6 @@ u64 ModelRegistry::promote_to_primary() {
   return epoch_.load(std::memory_order_relaxed);
 }
 
-bool ModelRegistry::write_available() {
-  if (stalled_.load(std::memory_order_acquire) ||
-      SDB_INJECT("serve.registry.stall")) {
-    stall_rejections_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
-}
-
-PointId ModelRegistry::insert(std::span<const double> coords) {
-  const std::scoped_lock lock(writer_mu_);
-  SDB_CHECK(role_.load(std::memory_order_relaxed) == RegistryRole::kPrimary,
-            "direct insert on a follower (writes go through replication)");
-  // Write-ahead: the record is durable before the state mutates. A crash
-  // between the two leaves an unapplied record, which recovery discards
-  // unless a later publish committed it.
-  if (wal_ != nullptr) wal_->append_insert(coords);
-  const PointId id = incremental_.insert(coords);
-  ++mutations_;
-  ++since_publish_;
-  maybe_publish_locked();
-  return id;
-}
-
-bool ModelRegistry::try_remove(PointId id) {
-  const std::scoped_lock lock(writer_mu_);
-  SDB_CHECK(role_.load(std::memory_order_relaxed) == RegistryRole::kPrimary,
-            "direct remove on a follower (writes go through replication)");
-  if (id < 0 || static_cast<size_t>(id) >= incremental_.size() ||
-      incremental_.is_removed(id)) {
-    return false;
-  }
-  // Logged after validation: replay only ever sees applicable removes.
-  if (wal_ != nullptr) wal_->append_remove(id);
-  SDB_CHECK(incremental_.try_remove(id), "validated remove failed to apply");
-  ++mutations_;
-  ++since_publish_;
-  maybe_publish_locked();
-  return true;
-}
-
 std::vector<dbscan::IncrementalDbscan::BatchResult> ModelRegistry::apply_batch(
     std::span<const dbscan::IncrementalDbscan::BatchOp> ops) {
   using BatchOp = dbscan::IncrementalDbscan::BatchOp;
@@ -283,6 +241,10 @@ std::vector<dbscan::IncrementalDbscan::BatchResult> ModelRegistry::apply_batch(
     // — replay and replication re-apply records one at a time, and a
     // batched region re-clustering may land ambiguous borders differently.
     // Same canonical order (inserts, then removes), no shared region.
+    // Write-ahead: each record is logged before the state mutates; a crash
+    // between the two leaves an unapplied record, which recovery discards
+    // unless a later publish committed it. Removes are logged only after
+    // validation, so replay only ever sees applicable removes.
     results.resize(ops.size());
     for (size_t i = 0; i < ops.size(); ++i) {
       if (ops[i].kind != BatchOp::Kind::kInsert) continue;

@@ -6,10 +6,11 @@
 //     the writer — a reader holds its snapshot alive by refcount, exactly
 //     the RCU read-side critical section with shared_ptr as the grace
 //     period mechanism;
-//   * the writer applies inserts/removes through the exact-semantics
-//     IncrementalDbscan and, every `publish_every` mutations (the epoch
-//     cadence), builds a fresh immutable ClusterModel and publishes it with
-//     one atomic store. Old snapshots die when the last reader drops them.
+//   * the writer applies batches of inserts/removes (apply_batch) through
+//     the exact-semantics IncrementalDbscan and, on the epoch cadence
+//     (publish(), or every `publish_every` mutations), builds a fresh
+//     immutable ClusterModel and publishes it with one atomic store. Old
+//     snapshots die when the last reader drops them.
 //
 // The swap itself is a pointer-sized atomic operation: readers between
 // epochs see either the old or the new snapshot in full, never a mix
@@ -101,31 +102,16 @@ class ModelRegistry {
   }
 
   /// --- write side (internally serialized; call from any thread) ---
-  /// True when the writer can accept a mutation right now. False while the
-  /// writer is stalled — set_stalled(true) (ops drain, maintenance) or an
-  /// injected `serve.registry.stall` fault — in which case callers should
-  /// degrade gracefully: keep serving reads from the current snapshot and
-  /// reject mutations with a backpressure signal instead of blocking
-  /// (serve::ReplyStatus::kDegraded). Each refusal is counted.
-  [[nodiscard]] bool write_available();
-  void set_stalled(bool stalled) {
-    stalled_.store(stalled, std::memory_order_release);
-  }
-  [[nodiscard]] u64 stall_rejections() const {
-    return stall_rejections_.load(std::memory_order_relaxed);
-  }
-
-  /// Insert a point into the live clustering; returns its id. May publish
-  /// (epoch cadence).
-  PointId insert(std::span<const double> coords);
-  /// Remove a point; false if the id is unknown or already removed.
-  bool try_remove(PointId id);
+  /// A primary mutates only through apply_batch() and bootstrap();
+  /// producers reach apply_batch() through stream::IngestPipeline.
+  ///
   /// Apply one micro-epoch of mutations atomically w.r.t. readers: all
   /// inserts (in op order), then all removes (in op order) sharing one
   /// affected-region re-clustering. WAL records are appended in that same
   /// canonical order, so replay and replication reproduce ids exactly.
-  /// Returns per-op outcomes aligned with `ops`; counts toward the publish
-  /// cadence like individual mutations.
+  /// Invalid removes (unknown, malformed or already-removed ids) report
+  /// applied=false and change nothing. Returns per-op outcomes aligned with
+  /// `ops`; every applied op counts toward the publish cadence.
   std::vector<dbscan::IncrementalDbscan::BatchResult> apply_batch(
       std::span<const dbscan::IncrementalDbscan::BatchOp> ops);
   /// Insert every point of `points` (bulk bootstrap), then publish once.
@@ -225,8 +211,6 @@ class ModelRegistry {
   u64 wal_discarded_ = 0;
   std::atomic<std::shared_ptr<const ClusterModel>> current_;
   std::atomic<u64> epoch_{0};
-  std::atomic<bool> stalled_{false};
-  std::atomic<u64> stall_rejections_{0};
 };
 
 }  // namespace sdb::serve

@@ -99,44 +99,13 @@ Reply QueryEngine::execute(const Request& request) {
       if (!model->has(request.id)) {
         // Malformed ids are kInvalid; well-formed ids the snapshot simply
         // does not cover (yet — e.g. inserted since the last publish) are
-        // kNotFound, matching remove's status for unknown ids.
+        // kNotFound.
         reply.status = request.id < 0 ? ReplyStatus::kInvalid
                                       : ReplyStatus::kNotFound;
         return reply;
       }
       reply.label = model->label_of(request.id);
       reply.status = ReplyStatus::kOk;
-      return reply;
-    }
-    case RequestType::kInsert: {
-      if (static_cast<int>(request.point.size()) != registry_.dim()) {
-        reply.status = ReplyStatus::kInvalid;
-        return reply;
-      }
-      // Graceful degradation: a stalled registry writer must not block a
-      // worker thread (that would cascade into shed reads). Refuse the
-      // mutation with an explicit signal; reads keep flowing from the last
-      // published snapshot.
-      if (!registry_.write_available()) {
-        reply.status = ReplyStatus::kDegraded;
-        reply.epoch = registry_.epoch();
-        return reply;
-      }
-      reply.id = registry_.insert(request.point);
-      reply.epoch = registry_.epoch();
-      reply.status = ReplyStatus::kOk;
-      return reply;
-    }
-    case RequestType::kRemove: {
-      reply.id = request.id;
-      if (!registry_.write_available()) {
-        reply.status = ReplyStatus::kDegraded;
-        reply.epoch = registry_.epoch();
-        return reply;
-      }
-      reply.status = registry_.try_remove(request.id) ? ReplyStatus::kOk
-                                                      : ReplyStatus::kNotFound;
-      reply.epoch = registry_.epoch();
       return reply;
     }
   }
@@ -176,9 +145,6 @@ void QueryEngine::complete(const Request& request, const Reply& reply,
   if (reply.status == ReplyStatus::kInvalid) {
     invalid_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (reply.status == ReplyStatus::kDegraded) {
-    degraded_.fetch_add(1, std::memory_order_relaxed);
-  }
   if (reply.degraded_model) {
     degraded_model_reads_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -191,7 +157,6 @@ MetricsSnapshot QueryEngine::metrics() const {
   m.shed = shed_.load(std::memory_order_relaxed);
   m.completed = completed_.load(std::memory_order_relaxed);
   m.invalid = invalid_.load(std::memory_order_relaxed);
-  m.degraded = degraded_.load(std::memory_order_relaxed);
   m.degraded_model_reads =
       degraded_model_reads_.load(std::memory_order_relaxed);
   m.cache_hits = cache_hits_.load(std::memory_order_relaxed);

@@ -1,5 +1,10 @@
-// QueryEngine — the serving request loop: admission control, a ThreadPool
+// QueryEngine — the serving read front end: admission control, a ThreadPool
 // worker back end, a sharded classify cache, and per-request metrics.
+//
+// The engine only reads. Writes take the one write path,
+// stream::IngestPipeline -> ModelRegistry::apply_batch; a server runs one
+// QueryEngine and one IngestPipeline over the same registry, and readers
+// see a write once the pipeline publishes the epoch that carries it.
 //
 // Request life cycle:
 //   try_submit -> admission (bounded in-flight count; full => shed with
@@ -35,30 +40,26 @@ namespace sdb::serve {
 enum class RequestType : u32 {
   kClassify = 0,  ///< which cluster would this point join?
   kLookup = 1,    ///< label of an existing point id
-  kInsert = 2,    ///< add a point to the live clustering
-  kRemove = 3,    ///< remove a point from the live clustering
 };
-inline constexpr size_t kRequestTypes = 4;
+inline constexpr size_t kRequestTypes = 2;
 
 enum class ReplyStatus : u32 {
   kOk = 0,
   kOverloaded,  ///< shed at admission (backpressure)
-  kNotFound,    ///< remove of an unknown/already-removed id
+  kNotFound,    ///< lookup of an id the snapshot does not cover
   kInvalid,     ///< malformed request (bad dimension, bad id)
-  kDegraded,    ///< registry writer stalled: mutation refused, reads (from
-                ///< the last published snapshot) unaffected
 };
 
 struct Request {
   RequestType type = RequestType::kClassify;
-  std::vector<double> point;  ///< classify / insert payload
-  PointId id = -1;            ///< lookup / remove target
+  std::vector<double> point;  ///< classify payload
+  PointId id = -1;            ///< lookup target
 };
 
 struct Reply {
   ReplyStatus status = ReplyStatus::kInvalid;
   ClusterId label = kNoise;  ///< classify / lookup answer
-  PointId id = -1;           ///< insert: assigned id; lookup/remove: echo
+  PointId id = -1;           ///< lookup: echo of the target
   u64 epoch = 0;             ///< snapshot epoch that answered
   bool cache_hit = false;
   /// The answering snapshot was built with DBSCAN++ core subsampling (the
@@ -74,7 +75,6 @@ struct MetricsSnapshot {
   u64 shed = 0;       ///< rejected at admission
   u64 completed = 0;
   u64 invalid = 0;
-  u64 degraded = 0;   ///< mutations refused while the registry writer stalled
   u64 degraded_model_reads = 0;  ///< reads answered from a subsampled snapshot
   u64 cache_hits = 0;
   u64 cache_misses = 0;
@@ -145,7 +145,6 @@ class QueryEngine {
   std::atomic<u64> shed_{0};
   std::atomic<u64> completed_{0};
   std::atomic<u64> invalid_{0};
-  std::atomic<u64> degraded_{0};
   std::atomic<u64> degraded_model_reads_{0};
   std::atomic<u64> cache_hits_{0};
   std::atomic<u64> cache_misses_{0};

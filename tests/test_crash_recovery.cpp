@@ -45,6 +45,8 @@
 #include "synth/generators.hpp"
 #include "util/rng.hpp"
 
+#include "serve_write_ops.hpp"
+
 namespace sdb::dbscan {
 namespace {
 
@@ -397,7 +399,7 @@ TEST_P(ServeKillRecover, RestartedRegistryRepublishesLastCommittedEpoch) {
     for (int i = 0; i < kServeInserts; ++i) {
       const double coords[kServeDim] = {static_cast<double>(i),
                                         static_cast<double>(i)};
-      registry.insert(coords);
+      insert_one(registry, coords);
     }
     _exit(0);
   }
@@ -448,9 +450,9 @@ TEST(ServeKillRecover, CompactionPreservesCommittedStateAcrossRestart) {
     serve::ModelRegistry registry(cfg, kServeDim);
     for (int i = 0; i < 10; ++i) {
       const double coords[kServeDim] = {static_cast<double>(i), 0.0};
-      registry.insert(coords);
+      insert_one(registry, coords);
     }
-    registry.try_remove(3);
+    remove_one(registry, 3);
     epoch_before = registry.compact();
     points_before = registry.active_points();
   }

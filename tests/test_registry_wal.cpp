@@ -15,6 +15,8 @@
 #include "serve/model_registry.hpp"
 #include "serve/registry_wal.hpp"
 
+#include "serve_write_ops.hpp"
+
 namespace sdb::serve {
 namespace {
 
@@ -388,11 +390,11 @@ TEST_F(RegistryRecoveryTest, UncommittedMutationsAreTruncatedNotReplayed) {
     ModelRegistry registry(cfg, 2);
     for (int i = 0; i < 4; ++i) {
       const double coords[2] = {static_cast<double>(i), 0.0};
-      registry.insert(coords);
+      insert_one(registry, coords);
     }
     registry.publish();  // commits the 4 inserts at epoch 2
     const double extra[2] = {9.0, 9.0};
-    registry.insert(extra);  // never published -> uncommitted
+    insert_one(registry, extra);  // never published -> uncommitted
   }
   ModelRegistry recovered(cfg, 2);
   EXPECT_EQ(recovered.epoch(), 2u);
@@ -415,10 +417,10 @@ TEST_F(RegistryRecoveryTest, RemovesReplayTooAndIdsStaySequential) {
     ModelRegistry registry(cfg, 2);
     for (int i = 0; i < 6; ++i) {
       const double coords[2] = {static_cast<double>(i), 0.0};
-      registry.insert(coords);
+      insert_one(registry, coords);
     }
-    EXPECT_TRUE(registry.try_remove(2));
-    EXPECT_TRUE(registry.try_remove(4));
+    EXPECT_TRUE(remove_one(registry, 2));
+    EXPECT_TRUE(remove_one(registry, 4));
     registry.publish();
   }
   ModelRegistry recovered(cfg, 2);
@@ -426,8 +428,8 @@ TEST_F(RegistryRecoveryTest, RemovesReplayTooAndIdsStaySequential) {
   // Replay preserved the id space: the next insert continues after the
   // replayed ones instead of colliding with them.
   const double coords[2] = {100.0, 0.0};
-  EXPECT_EQ(recovered.insert(coords), 6);
-  EXPECT_FALSE(recovered.try_remove(2));  // still tombstoned after replay
+  EXPECT_EQ(insert_one(recovered, coords), 6);
+  EXPECT_FALSE(remove_one(recovered, 2));  // still tombstoned after replay
 }
 
 TEST_F(RegistryRecoveryTest, SnapshotPlusLogRecoversAcrossCompaction) {
@@ -440,13 +442,13 @@ TEST_F(RegistryRecoveryTest, SnapshotPlusLogRecoversAcrossCompaction) {
     ModelRegistry registry(cfg, 2);
     for (int i = 0; i < 5; ++i) {
       const double coords[2] = {static_cast<double>(i), 0.0};
-      registry.insert(coords);
+      insert_one(registry, coords);
     }
-    registry.try_remove(0);
+    remove_one(registry, 0);
     compacted_epoch = registry.compact();  // state -> snapshot generation 1
     // Post-compaction mutations land in the new generation's log.
     const double coords[2] = {50.0, 0.0};
-    registry.insert(coords);
+    insert_one(registry, coords);
     registry.publish();
   }
   ModelRegistry recovered(cfg, 2);
@@ -463,7 +465,7 @@ TEST_F(RegistryRecoveryTest, DurabilityOffKeepsLegacyBehaviour) {
   ModelRegistry registry(cfg, 2);
   EXPECT_EQ(registry.wal(), nullptr);
   const double coords[2] = {1.0, 2.0};
-  registry.insert(coords);
+  insert_one(registry, coords);
   EXPECT_EQ(registry.active_points(), 1u);
   EXPECT_EQ(registry.wal_replayed(), 0u);
 }

@@ -19,6 +19,8 @@
 #include "replica/wal_ship.hpp"
 #include "serve/model_registry.hpp"
 
+#include "serve_write_ops.hpp"
+
 namespace sdb::replica {
 namespace {
 
@@ -201,7 +203,7 @@ TEST(Replication, LaggingFollowerCatchesUpViaSnapshotHandshake) {
   auto primary = std::make_shared<serve::ModelRegistry>(cfg_p, 2);
   for (int i = 0; i < 10; ++i) {
     const double coords[2] = {0.1 * i, 0.5};
-    primary->insert(coords);
+    insert_one(*primary, coords);
   }
   primary->publish();
   const u64 compacted = primary->compact();  // rotates to generation 1
@@ -220,7 +222,7 @@ TEST(Replication, LaggingFollowerCatchesUpViaSnapshotHandshake) {
 
   // Post-compaction mutations ship as normal records from (1, 0).
   const double extra[2] = {5.0, 5.0};
-  primary->insert(extra);
+  insert_one(*primary, extra);
   primary->publish();
   relay.pump(applier, transport);
   while (auto frame = transport.receive()) applier.offer(*frame);
@@ -346,7 +348,7 @@ TEST(Replication, DurableFollowerRestartsAtItsStreamCursor) {
     ShipTransport transport;
     for (int i = 0; i < 6; ++i) {
       const double coords[2] = {0.1 * i, 0.5};
-      primary->insert(coords);
+      insert_one(*primary, coords);
     }
     primary->publish();
     relay.pump(applier, transport);
@@ -356,7 +358,7 @@ TEST(Replication, DurableFollowerRestartsAtItsStreamCursor) {
   }
   // More primary traffic while the follower is down.
   const double extra[2] = {7.0, 7.0};
-  primary->insert(extra);
+  insert_one(*primary, extra);
   primary->publish();
   {
     auto follower = std::make_shared<serve::ModelRegistry>(follower_cfg, 2);

@@ -12,11 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <bit>
+#include <filesystem>
+#include <random>
 #include <thread>
 
-#include "fault/fault_plan.hpp"
 #include "serve/query_engine.hpp"
+#include "serve_write_ops.hpp"
 #include "synth/generators.hpp"
 #include "util/rng.hpp"
 
@@ -47,7 +52,7 @@ TEST(ServeRegistry, EpochCadencePublishes) {
   Rng rng(5);
   for (int i = 0; i < 17; ++i) {
     const std::vector<double> p{rng.uniform(), rng.uniform()};
-    registry.insert(p);
+    insert_one(registry, p);
   }
   // 17 mutations at cadence 8 -> exactly 2 automatic publishes.
   EXPECT_EQ(registry.epoch(), start + 2);
@@ -71,7 +76,7 @@ TEST(ServeRegistry, EpochSemanticsAtCadenceBoundaries) {
       Rng rng(100 + cadence);
       for (u64 i = 0; i < mutations; ++i) {
         const std::vector<double> p{rng.uniform(), rng.uniform()};
-        registry.insert(p);
+        insert_one(registry, p);
       }
       const u64 expected_publishes = mutations / cadence;
       EXPECT_EQ(registry.epoch(), start + expected_publishes)
@@ -106,12 +111,101 @@ TEST(ServeRegistry, BootstrapMatchesIncrementalSemantics) {
 
 TEST(ServeRegistry, RemoveInvalidIdsRejected) {
   ModelRegistry registry(small_config(), 2);
-  EXPECT_FALSE(registry.try_remove(-1));
-  EXPECT_FALSE(registry.try_remove(0));
+  EXPECT_FALSE(remove_one(registry, -1));
+  EXPECT_FALSE(remove_one(registry, 0));
   const std::vector<double> p{0.0, 0.0};
-  const PointId id = registry.insert(p);
-  EXPECT_TRUE(registry.try_remove(id));
-  EXPECT_FALSE(registry.try_remove(id));  // already removed
+  const PointId id = insert_one(registry, p);
+  EXPECT_TRUE(remove_one(registry, id));
+  EXPECT_FALSE(remove_one(registry, id));  // already removed
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv {
+  u64 h = 0xcbf29ce484222325ull;
+  void add(u64 v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// Drives a fixed write sequence at d=2 from an mt19937_64 seed (whose
+/// output the standard fixes) through single-op batches, and hashes every
+/// outcome, the epoch after each op, the final state digest and tallies,
+/// and every WAL record. Small rebuild and publish cadences make kd-tree
+/// rebuilds, tombstone reclaims and cadence publishes all fire.
+u64 write_stream_digest(ModelRegistry::Config cfg) {
+  cfg.params = dbscan::DbscanParams{0.08, 4};
+  cfg.rebuild_threshold = 8;
+  cfg.publish_every = 5;
+  ModelRegistry registry(cfg, 2);
+  std::mt19937_64 engine(20260);
+  Fnv fnv;
+  auto insert = [&] {
+    const std::vector<double> p{static_cast<double>(engine() >> 11) * 0x1p-53,
+                                static_cast<double>(engine() >> 11) * 0x1p-53};
+    const PointId id = insert_one(registry, p);
+    fnv.add(static_cast<u64>(id));
+    fnv.add(registry.epoch());
+    return id;
+  };
+  auto remove = [&](PointId id) {
+    const bool applied = remove_one(registry, id);
+    fnv.add(applied ? 1 : 0);
+    fnv.add(registry.epoch());
+    return applied;
+  };
+  std::vector<PointId> live;
+  for (int i = 0; i < 300; ++i) live.push_back(insert());
+  for (int i = 0; i < 150; ++i) {
+    const size_t pick = engine() % live.size();
+    const PointId id = live[pick];
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    EXPECT_TRUE(remove(id));
+    if (i % 50 == 0) {
+      EXPECT_FALSE(remove(id));         // double remove
+      EXPECT_FALSE(remove(-1));         // malformed id
+      EXPECT_FALSE(remove(1'000'000));  // never issued
+    }
+  }
+  for (int i = 0; i < 40; ++i) insert();
+  fnv.add(registry.state_digest());
+  fnv.add(registry.epoch());
+  fnv.add(registry.mutations());
+  fnv.add(registry.publishes());
+  if (registry.wal() != nullptr) {
+    for (const WalRecord& rec : registry.wal()->records()) {
+      fnv.add(static_cast<u64>(rec.type));
+      fnv.add(rec.coords.size());
+      for (const double x : rec.coords) fnv.add(std::bit_cast<u64>(x));
+      fnv.add(static_cast<u64>(rec.point_id));
+      fnv.add(rec.epoch);
+    }
+  }
+  return fnv.h;
+}
+
+TEST(ServeRegistry, OneOpBatchesMatchParentDigest) {
+  // Pinned to the values the registry's former per-op insert/try_remove
+  // produced: single-op batches must evolve the state, the epochs, the
+  // tallies and the WAL record stream exactly as those calls did.
+  ModelRegistry::Config in_memory;
+  EXPECT_EQ(write_stream_digest(in_memory), 0xba57ac0c8e193338ull);
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("sdb_registry_digest_p" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  ModelRegistry::Config durable;
+  durable.wal_dir = dir;
+  EXPECT_EQ(write_stream_digest(durable), 0x9a5f12bb12ef2ec1ull);
+  std::filesystem::remove_all(dir);
+
+  ModelRegistry::Config replicated;
+  replicated.replicated = true;
+  EXPECT_EQ(write_stream_digest(replicated), 0x9a5f12bb12ef2ec1ull);
 }
 
 // The satellite-task test: N readers, one mutating/publishing writer.
@@ -169,11 +263,11 @@ TEST(ServeRegistry, ConcurrentReadersSeeConsistentSnapshots) {
     for (int m = 0; m < kWriterMutations; ++m) {
       if (!live.empty() && rng.chance(0.25)) {
         const size_t pick = rng.uniform_index(live.size());
-        registry.try_remove(live[pick]);
+        remove_one(registry, live[pick]);
         live.erase(live.begin() + static_cast<long>(pick));
       } else {
         const std::vector<double> p{rng.uniform(), rng.uniform()};
-        live.push_back(registry.insert(p));
+        live.push_back(insert_one(registry, p));
       }
     }
     writer_done.store(true);
@@ -213,7 +307,7 @@ TEST(ServeEngine, ClassifyLookupInsertRemoveRoundTrip) {
   cfg.threads = 2;
   QueryEngine engine(fx.registry, cfg);
 
-  // Synchronous execute covers all four verbs.
+  // Synchronous execute covers both verbs.
   Request classify;
   classify.type = RequestType::kClassify;
   classify.point = {0.5, 0.5};
@@ -226,19 +320,6 @@ TEST(ServeEngine, ClassifyLookupInsertRemoveRoundTrip) {
   const Reply l = engine.execute(lookup);
   EXPECT_EQ(l.status, ReplyStatus::kOk);
   EXPECT_EQ(l.label, fx.registry.model()->label_of(0));
-
-  Request insert;
-  insert.type = RequestType::kInsert;
-  insert.point = {0.25, 0.25};
-  const Reply i = engine.execute(insert);
-  EXPECT_EQ(i.status, ReplyStatus::kOk);
-  EXPECT_GE(i.id, 0);
-
-  Request remove;
-  remove.type = RequestType::kRemove;
-  remove.id = i.id;
-  EXPECT_EQ(engine.execute(remove).status, ReplyStatus::kOk);
-  EXPECT_EQ(engine.execute(remove).status, ReplyStatus::kNotFound);
 
   Request bad;
   bad.type = RequestType::kClassify;
@@ -374,98 +455,6 @@ TEST(ServeEngine, BatchSubmitAdmitsUpToCapacity) {
   const auto m = engine.metrics();
   EXPECT_EQ(m.shed, 32 - admitted);
   EXPECT_EQ(m.completed, admitted);
-}
-
-TEST(ServeEngine, StalledWriterDegradesMutationsButServesReads) {
-  EngineFixture fx;
-  QueryEngine::Config cfg;
-  cfg.threads = 1;
-  QueryEngine engine(fx.registry, cfg);
-  const u64 mutations_before = fx.registry.mutations();
-  const u64 epoch_before = fx.registry.epoch();
-
-  fx.registry.set_stalled(true);
-
-  // Mutations are refused with the backpressure signal, not blocked. Go
-  // through the async path so the degraded metric is recorded (execute()
-  // is the metric-free synchronous path).
-  Request insert;
-  insert.type = RequestType::kInsert;
-  insert.point = {0.5, 0.5};
-  std::atomic<int> degraded_replies{0};
-  u64 degraded_epoch = 0;
-  ASSERT_TRUE(engine.try_submit(insert, [&](const Reply& reply) {
-    if (reply.status == ReplyStatus::kDegraded) {
-      degraded_replies.fetch_add(1);
-      degraded_epoch = reply.epoch;
-    }
-  }));
-  Request remove;
-  remove.type = RequestType::kRemove;
-  remove.id = 0;
-  ASSERT_TRUE(engine.try_submit(remove, [&](const Reply& reply) {
-    if (reply.status == ReplyStatus::kDegraded) degraded_replies.fetch_add(1);
-  }));
-  engine.drain();
-  EXPECT_EQ(degraded_replies.load(), 2);
-  EXPECT_EQ(degraded_epoch, epoch_before);  // the epoch still being served
-
-  // Reads keep serving from the last published snapshot.
-  Request classify;
-  classify.type = RequestType::kClassify;
-  classify.point = {0.5, 0.5};
-  EXPECT_EQ(engine.execute(classify).status, ReplyStatus::kOk);
-  Request lookup;
-  lookup.type = RequestType::kLookup;
-  lookup.id = 0;
-  EXPECT_EQ(engine.execute(lookup).status, ReplyStatus::kOk);
-
-  EXPECT_EQ(fx.registry.mutations(), mutations_before);  // nothing applied
-  EXPECT_EQ(fx.registry.stall_rejections(), 2u);
-  EXPECT_EQ(engine.metrics().degraded, 2u);
-
-  // Recovery: un-stall and the same mutation goes through.
-  fx.registry.set_stalled(false);
-  EXPECT_EQ(engine.execute(insert).status, ReplyStatus::kOk);
-}
-
-#ifdef SDB_FAULT_INJECTION
-TEST(ServeEngine, InjectedRegistryStallDegradesExactlyPerBudget) {
-  EngineFixture fx;
-  QueryEngine::Config cfg;
-  cfg.threads = 1;
-  QueryEngine engine(fx.registry, cfg);
-  fault::ScopedFaultPlan chaos("seed=41;serve.registry.stall:budget=1");
-  Request insert;
-  insert.type = RequestType::kInsert;
-  insert.point = {0.4, 0.4};
-  EXPECT_EQ(engine.execute(insert).status, ReplyStatus::kDegraded);
-  EXPECT_EQ(engine.execute(insert).status, ReplyStatus::kOk);  // budget spent
-  EXPECT_EQ(fx.registry.stall_rejections(), 1u);
-}
-#endif  // SDB_FAULT_INJECTION
-
-TEST(ServeEngine, MutationsThroughEngineAdvanceEpochs) {
-  EngineFixture fx;
-  QueryEngine::Config cfg;
-  cfg.threads = 2;
-  QueryEngine engine(fx.registry, cfg);
-  const u64 epoch_before = fx.registry.epoch();
-
-  Rng rng(77);
-  for (int i = 0; i < 40; ++i) {
-    Request req;
-    req.type = RequestType::kInsert;
-    req.point = {rng.uniform(), rng.uniform()};
-    ASSERT_TRUE(engine.try_submit(std::move(req)));
-  }
-  engine.drain();
-  fx.registry.publish();
-  EXPECT_GT(fx.registry.epoch(), epoch_before);
-  EXPECT_EQ(fx.registry.model()->summary().total_points, 500u + 50u + 40u);
-  const auto m = engine.metrics();
-  EXPECT_EQ(m.by_type[static_cast<size_t>(RequestType::kInsert)], 40u);
-  EXPECT_GT(m.work.distance_evals, 0u);  // insert work is accounted
 }
 
 }  // namespace

@@ -22,6 +22,8 @@
 #include "serve/query_engine.hpp"
 #include "util/rng.hpp"
 
+#include "serve_write_ops.hpp"
+
 namespace sdb::stream {
 namespace {
 
@@ -202,7 +204,7 @@ TEST(StreamPipeline, SheddingRejectsWritesWhileReadsKeepServing) {
   serve::ModelRegistry registry(registry_config(), 2);
   // Publish a non-empty snapshot BEFORE the overload so reads have data.
   Rng rng(13);
-  for (int i = 0; i < 64; ++i) registry.insert(random_point(rng));
+  for (int i = 0; i < 64; ++i) insert_one(registry, random_point(rng));
   registry.publish();
   const u64 pre_epoch = registry.epoch();
   const auto pre_model = registry.model();
@@ -246,7 +248,7 @@ TEST(StreamPipeline, SheddingRejectsWritesWhileReadsKeepServing) {
 TEST(StreamPipeline, DegradedRungPublishesSubsampledSnapshots) {
   serve::ModelRegistry registry(registry_config(), 2);
   Rng rng(17);
-  for (int i = 0; i < 200; ++i) registry.insert(random_point(rng));
+  for (int i = 0; i < 200; ++i) insert_one(registry, random_point(rng));
   registry.publish();
   ASSERT_FALSE(registry.model()->degraded());
 
@@ -292,7 +294,7 @@ TEST(StreamPipeline, DegradedRungPublishesSubsampledSnapshots) {
   req.type = serve::RequestType::kClassify;
   req.point = {2.0, 2.0};
   serve::Reply reply = engine.execute(req);
-  EXPECT_TRUE(reply.degraded_model);  // kDegraded-style status to callers
+  EXPECT_TRUE(reply.degraded_model);  // surfaced to callers on every read
 
   // Exact publish clears the flag.
   registry.set_core_sample_fraction(1.0);
