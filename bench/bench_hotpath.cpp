@@ -6,20 +6,27 @@
 //   query  — exact range-query throughput through range_query_budgeted,
 //            re-run on the forced-scalar kernel (counters checked equal),
 //            plus a batched arm through range_query_batch (the executor's
-//            entry point) checked list-for-list against it;
+//            entry point) checked list-for-list against it, each reported
+//            as ns per distance eval raw and normalised to a same-run host
+//            reference (a fixed double scalar loop);
 //   e2e    — the full spark_dbscan pipeline wall time.
 // Results print as tables and are also written as machine-readable JSON
 // (schema documented in README "Hot-path bench") so every future PR can
 // diff its perf trajectory against the committed BENCH_hotpath.json.
 //
 // --smoke shrinks the datasets so the run finishes in seconds; it is wired
-// into ctest under the `perf` label as a build-and-run regression smoke.
+// into ctest under the `perf` label, where --baseline compares the run's
+// deterministic work counters against bench/hotpath_smoke_counters.txt
+// exactly, so counter drift fails CI.
 #include "bench_common.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,8 +49,16 @@ struct QueryNumbers {
   double batch_qps = 0.0;    ///< one range_query_batch call
   u64 distance_evals_blocked = 0;
   u64 distance_evals_scalar = 0;
+  u64 tree_nodes = 0;
   u64 neighbors = 0;
+  double reference_ns = 0.0;  ///< host reference loop, ns per eval
 };
+
+/// ns per distance eval of an arm that answered `queries` at `qps`.
+double ns_per_eval(const QueryNumbers& q, double qps) {
+  return 1e9 * static_cast<double>(q.queries) /
+         (qps * static_cast<double>(q.distance_evals_blocked));
+}
 
 struct E2eNumbers {
   bool pruned = false;
@@ -63,6 +78,7 @@ struct DatasetReport {
   size_t n = 0;
   int dim = 0;
   double eps = 0.0;
+  size_t node_count = 0;  ///< kd-tree nodes at the default leaf size
   BuildNumbers build;
   QueryNumbers query;
   std::vector<ScalingPoint> scaling;
@@ -97,6 +113,44 @@ void best_build_ms_interleaved(const PointSet& points,
   }
 }
 
+/// Same-run host reference: a fixed double, ascending-d, scalar loop over
+/// `rows_per_query` consecutive dataset rows per query point (as many rows
+/// as the tree examines per query), best of `reps`, in ns per row. Dividing
+/// a kernel's ns/eval by it cancels host-speed phases between recordings.
+/// Keep this loop as it is: its value is that no change touches it.
+double reference_ns_per_eval(const PointSet& points, double eps, u64 queries,
+                             size_t stride, u64 rows_per_query, int reps) {
+  const size_t n = points.size();
+  const size_t dim = static_cast<size_t>(points.dim());
+  const double eps2 = eps * eps;
+  double best = 1e300;
+  u64 hits = 0;
+  for (int rep = 0; rep < reps; ++rep) {
+    Stopwatch sw;
+    u64 done = 0;
+    for (size_t i = 0; done < queries && i < n; i += stride, ++done) {
+      const double* q = points[static_cast<PointId>(i)].data();
+      size_t row = i;
+      for (u64 r = 0; r < rows_per_query; ++r, ++row) {
+        if (row == n) row = 0;
+        const double* p = points[static_cast<PointId>(row)].data();
+        double s = 0.0;
+        for (size_t d = 0; d < dim; ++d) {
+          const double diff = q[d] - p[d];
+          s += diff * diff;
+        }
+        hits += s <= eps2 ? 1 : 0;
+      }
+    }
+    best = std::min(best, sw.seconds() * 1e9 /
+                              static_cast<double>(done * rows_per_query));
+  }
+  // Keep the loop observable so it cannot be optimised away.
+  static std::atomic<u64> sink{0};
+  sink.fetch_add(hits, std::memory_order_relaxed);
+  return best;
+}
+
 /// Exact range queries from `queries` dataset points, round-robin. Each
 /// variant is timed `reps` times and reports its best pass — on shared /
 /// virtualized hosts the run-to-run swing is easily 2x, and best-of keeps
@@ -111,6 +165,7 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
   auto run = [&](u64* evals, double* qps) {
     u64 neighbors = 0;
     double best_qps = 0.0;
+    u64 nodes = 0;
     for (int rep = 0; rep < reps; ++rep) {
       WorkCounters wc;
       Stopwatch sw;
@@ -128,11 +183,16 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
       }
       best_qps = std::max(best_qps, static_cast<double>(queries) / sw.seconds());
       *evals = wc.distance_evals;
+      nodes = wc.tree_nodes;
     }
     *qps = best_qps;
+    out.tree_nodes = nodes;
     return neighbors;
   };
   out.neighbors = run(&out.distance_evals_blocked, &out.blocked_qps);
+  out.reference_ns = reference_ns_per_eval(
+      points, eps, queries, stride, out.distance_evals_blocked / queries,
+      reps);
   // Scalar-vs-SIMD self-check: the same tree re-queried with the dispatched
   // kernel pinned to the scalar fallback must report the exact same
   // distance_evals and neighbor totals (the kernels' bit-identical
@@ -306,14 +366,28 @@ void write_json(const std::string& path, const std::string& mode,
                  "\"blocked_qps\": %.1f, "
                  "\"scalar_qps\": %.1f, \"simd_speedup\": %.3f, "
                  "\"batch_qps\": %.1f, \"batch_speedup\": %.3f, "
-                 "\"neighbors\": %llu, \"distance_evals_blocked\": %llu}",
+                 "\"neighbors\": %llu, \"distance_evals_blocked\": %llu, "
+                 "\"tree_nodes\": %llu,\n"
+                 "               \"ns_per_eval\": %.3f, "
+                 "\"batch_ns_per_eval\": %.3f, "
+                 "\"reference_ns_per_eval\": %.3f, "
+                 "\"ns_per_eval_norm\": %.3f, "
+                 "\"batch_ns_per_eval_norm\": %.3f}",
                  static_cast<unsigned long long>(r.query.queries),
                  r.query.blocked_qps, r.query.scalar_qps,
                  r.query.blocked_qps / r.query.scalar_qps, r.query.batch_qps,
                  r.query.batch_qps / r.query.blocked_qps,
                  static_cast<unsigned long long>(r.query.neighbors),
                  static_cast<unsigned long long>(
-                     r.query.distance_evals_blocked));
+                     r.query.distance_evals_blocked),
+                 static_cast<unsigned long long>(r.query.tree_nodes),
+                 ns_per_eval(r.query, r.query.blocked_qps),
+                 ns_per_eval(r.query, r.query.batch_qps),
+                 r.query.reference_ns,
+                 ns_per_eval(r.query, r.query.blocked_qps) /
+                     r.query.reference_ns,
+                 ns_per_eval(r.query, r.query.batch_qps) /
+                     r.query.reference_ns);
     std::fprintf(f, ",\n     \"scaling\": [");
     for (size_t s = 0; s < r.scaling.size(); ++s) {
       const ScalingPoint& sp = r.scaling[s];
@@ -337,6 +411,63 @@ void write_json(const std::string& path, const std::string& mode,
   std::printf("wrote %s\n", path.c_str());
 }
 
+/// The run's deterministic work counters: per dataset, the per-query arm's
+/// distance evals, neighbors and tree-node visits, and the tree's size.
+std::map<std::string, u64> work_counters(
+    const std::vector<DatasetReport>& reports) {
+  std::map<std::string, u64> out;
+  for (const DatasetReport& r : reports) {
+    out[r.name + ".distance_evals_blocked"] = r.query.distance_evals_blocked;
+    out[r.name + ".neighbors"] = r.query.neighbors;
+    out[r.name + ".tree_nodes"] = r.query.tree_nodes;
+    out[r.name + ".node_count"] = r.node_count;
+  }
+  return out;
+}
+
+/// Compare `got` with the "name value" lines of the file at `path` ('#'
+/// starts a comment). On any difference print each one plus the lines that
+/// would re-pin the file, and return false.
+bool counters_match(const std::string& path,
+                    const std::map<std::string, u64>& got) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "baseline %s: cannot open\n", path.c_str());
+    return false;
+  }
+  std::map<std::string, u64> want;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    u64 value = 0;
+    if (fields >> name >> value) want[name] = value;
+  }
+  if (want == got) {
+    std::printf("work counters match %s\n", path.c_str());
+    return true;
+  }
+  std::fprintf(stderr, "work counters differ from %s:\n", path.c_str());
+  for (const auto& [name, value] : want) {
+    const auto it = got.find(name);
+    if (it == got.end()) {
+      std::fprintf(stderr, "  %s: baseline %llu, not measured\n",
+                   name.c_str(), static_cast<unsigned long long>(value));
+    } else if (it->second != value) {
+      std::fprintf(stderr, "  %s: baseline %llu, run %llu\n", name.c_str(),
+                   static_cast<unsigned long long>(value),
+                   static_cast<unsigned long long>(it->second));
+    }
+  }
+  std::fprintf(stderr, "this run's lines (re-pin only for an intended "
+                       "change to the work):\n");
+  for (const auto& [name, value] : got) {
+    std::fprintf(stderr, "%s %llu\n", name.c_str(),
+                 static_cast<unsigned long long>(value));
+  }
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -350,6 +481,9 @@ int main(int argc, char** argv) {
   flags.add_i64("queries", 2000, "range queries per dataset");
   flags.add_i64("seed", 42, "dataset seed");
   flags.add_bool("csv", false, "also print tables as CSV");
+  flags.add_string("baseline", "",
+                   "committed work-counter file to compare against exactly "
+                   "(exit 1 on any difference)");
   flags.parse(argc, argv);
 
   const bool smoke = flags.boolean("smoke");
@@ -389,6 +523,7 @@ int main(int argc, char** argv) {
     best_build_ms_interleaved(points, build_cfgs, build_outs, build_reps);
 
     const KdTree tree(points, {.build_threads = threads});
+    r.node_count = tree.node_count();
     r.query = measure_queries(points, tree, spec.eps, queries, smoke ? 2 : 3);
 
     // Thread-scaling: parallel build and concurrent query throughput at
@@ -447,6 +582,13 @@ int main(int argc, char** argv) {
          TablePrinter::cell(r.query.blocked_qps, 0),
          TablePrinter::cell(r.query.batch_qps, 0),
          TablePrinter::cell(r.query.batch_qps / r.query.blocked_qps, 2)});
+    table.add_row(
+        {"ns/eval: host reference vs batched",
+         TablePrinter::cell(r.query.reference_ns, 3),
+         TablePrinter::cell(ns_per_eval(r.query, r.query.batch_qps), 3),
+         TablePrinter::cell(r.query.reference_ns /
+                                ns_per_eval(r.query, r.query.batch_qps),
+                            2)});
     if (r.has_e2e) {
       table.add_row({"e2e wall (s)", "-", TablePrinter::cell(r.e2e.wall_s, 2),
                      "-"});
@@ -474,5 +616,9 @@ int main(int argc, char** argv) {
 
   write_json(flags.string("out"), smoke ? "smoke" : "full", threads, seed,
              reports);
+  const std::string baseline = flags.string("baseline");
+  if (!baseline.empty() && !counters_match(baseline, work_counters(reports))) {
+    return 1;
+  }
   return 0;
 }

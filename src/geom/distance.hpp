@@ -3,14 +3,16 @@
 // (the spatial indexes) batch their counts per query and flush once through
 // counters::add — same totals, no thread-local lookup per evaluation.
 //
-// The vectorized leaf-scan kernels live in distance_simd.hpp: a runtime-
-// dispatched AVX2/NEON strip kernel over a strip-transposed (SoA) layout,
-// bit-identical to the scalar loops here (unfused multiply+add, ascending-d
-// accumulation) so eps-membership decisions never depend on the host ISA.
+// The vectorized leaf-scan kernels live in distance_simd.hpp: runtime-
+// dispatched float32 tile kernels over a strip-transposed (SoA) layout whose
+// undecided lanes are rechecked here with the unfused ascending-d double
+// loop, so eps-membership decisions never depend on the host ISA.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <span>
 
 #include "geom/distance_simd.hpp"
@@ -51,163 +53,157 @@ inline bool within_eps(std::span<const double> a, std::span<const double> b,
 }
 
 // ---------------------------------------------------------------------------
-// Strip-transposed (SoA) layout helpers — the layout the SIMD kernels scan.
-// See distance_simd.hpp for the full layout + determinism contract. Global
+// Strip-transposed (SoA) float layout helpers — the layout the SIMD kernels
+// scan. See distance_simd.hpp for the layout + decision contract. Global
 // position i lives in block i / kDistanceStrip at lane i % kDistanceStrip;
 // within a block coordinates are dimension-major with lane stride
-// kDistanceStrip.
+// kDistanceStrip, each stored as float(p[d] - c[d]) for the strip's origin c.
 // ---------------------------------------------------------------------------
 
-/// Buffer length (in doubles) for n points of dimension dim, padded to whole
+/// Buffer length (in floats) for n points of dimension dim, padded to whole
 /// strip blocks. Builders zero the final partial block's padding lanes so
 /// vector loads never touch uninitialized memory.
 inline constexpr size_t strip_padded_len(size_t n, size_t dim) {
   return ((n + kDistanceStrip - 1) / kDistanceStrip) * kDistanceStrip * dim;
 }
 
-/// Address of position `pos`'s lane within its block.
-inline const double* strip_lane(const double* base, size_t pos, size_t dim) {
-  return base + (pos / kDistanceStrip) * (kDistanceStrip * dim) +
-         pos % kDistanceStrip;
+/// Start of the strip block holding position `pos`.
+inline const float* strip_block(const float* base, size_t pos, size_t dim) {
+  return base + (pos / kDistanceStrip) * (kDistanceStrip * dim);
 }
-inline double* strip_lane(double* base, size_t pos, size_t dim) {
-  return base + (pos / kDistanceStrip) * (kDistanceStrip * dim) +
-         pos % kDistanceStrip;
+inline float* strip_block(float* base, size_t pos, size_t dim) {
+  return base + (pos / kDistanceStrip) * (kDistanceStrip * dim);
 }
 
-/// Scatter one coordinate row into its strip lane (builder-side transpose).
-inline void strip_store_row(double* base, size_t pos,
-                            std::span<const double> p) {
-  double* lane = strip_lane(base, pos, p.size());
-  for (size_t d = 0; d < p.size(); ++d) lane[d * kDistanceStrip] = p[d];
+/// Block-lane bits [first, last) of one strip block.
+inline std::uint32_t strip_lanes(size_t first, size_t last) {
+  const std::uint32_t upto =
+      last >= kDistanceStrip ? ~std::uint32_t{0}
+                             : (std::uint32_t{1} << last) - 1;
+  return upto & ~((std::uint32_t{1} << first) - 1);
 }
 
-/// Eps-membership mask for `count` strip-layout points starting at global
-/// position `pos` in `strips`: bit j of the result is set iff the squared
-/// distance from `q` to point pos + j is <= eps2. `count` must not cross a
-/// strip-block boundary: count <= kDistanceStrip - pos % kDistanceStrip.
-/// Dispatches to the active SIMD kernel; counted as exactly `count`
-/// distance evaluations — one per candidate row, matching the scalar path,
-/// even though the kernel may abandon a lane's accumulation early once its
-/// partial sum exceeds eps2 (see distance_simd.hpp). Hot loops should
-/// instead fetch simd::detail::strip_kernel() once per query, call it per
-/// block, and batch-flush their counts (see KdTree::run_query).
-inline std::uint32_t within_eps_strip(std::span<const double> q, double eps2,
-                                      const double* strips, size_t pos,
-                                      size_t count) {
-  const std::uint32_t mask = simd::detail::strip_kernel()(
-      q.data(), q.size(), eps2, strip_lane(strips, pos, q.size()), count);
-  counters::distance_evals(count);
+/// Write `p` relative to `origin` as float (the rounding DESIGN.md §14
+/// bounds) with stride `stride` — a strip lane (kDistanceStrip) or a
+/// contiguous query row (1).
+inline void strip_relative(std::span<const double> p, const double* origin,
+                           float* out, size_t stride) {
+  for (size_t d = 0; d < p.size(); ++d) {
+    out[d * stride] = static_cast<float>(p[d] - origin[d]);
+  }
+}
+
+/// Scatter one row, relative to `origin`, into its strip lane.
+inline void strip_store_row(float* base, size_t pos, std::span<const double> p,
+                            const double* origin) {
+  strip_relative(p, origin,
+                 strip_block(base, pos, p.size()) + pos % kDistanceStrip,
+                 kDistanceStrip);
+}
+
+/// The origin of a strip over the interleaved [lo, hi] box `box`: its
+/// centre, written to `centre`. Returns the half-extent norm H the slack
+/// needs (every point of the box lies within H of the centre, per
+/// dimension within the returned h[d] that H is the norm of).
+inline double box_centre(const double* box, size_t dim, double* centre) {
+  double h2 = 0.0;
+  for (size_t d = 0; d < dim; ++d) {
+    const double lo = box[2 * d];
+    const double hi = box[2 * d + 1];
+    const double c = 0.5 * lo + 0.5 * hi;  // no overflow at +-DBL_MAX
+    const double h = std::max(hi - c, c - lo);
+    centre[d] = c;
+    h2 += h * h;
+  }
+  return std::sqrt(h2);
+}
+
+/// Exact eps decisions of one query from one kernel result: the sure lanes
+/// stand, and each maybe-only lane is decided by the double loop on its
+/// row (`row(j)` for block lane j).
+template <typename RowFn>
+inline std::uint32_t strip_recheck(const simd::StripMasks& m,
+                                   std::span<const double> q, double eps2,
+                                   RowFn&& row) {
+  std::uint32_t mask = m.sure;
+  for (std::uint32_t undecided = m.maybe & ~m.sure; undecided != 0;
+       undecided &= undecided - 1) {
+    const int j = std::countr_zero(undecided);
+    if (squared_distance_uncounted(q, row(j)) <= eps2) {
+      mask |= std::uint32_t{1} << j;
+    }
+  }
   return mask;
 }
 
-/// Neighbor-budgeted scan of packed strip positions [begin, end) through the
-/// dispatched SIMD kernel, with SCALAR stop-and-count semantics: the scalar
-/// reference loop walks rows in packed order, charges one distance_eval per
-/// row it visits, and returns the moment `found` reaches `max_neighbors` —
-/// charging the stopping row but nothing after it. This helper reproduces
-/// that observable behavior exactly from the kernel's per-segment masks
-/// (eps decisions are bit-identical by the kernel contract, so the stopping
-/// row is the same row): a segment where the budget cannot fire is charged
-/// whole; in the segment where it fires, rows after the stopping match are
-/// neither pushed nor charged, even though the kernel already evaluated
-/// them — physical over-evaluation inside one strip is an implementation
-/// detail of the evaluation, like partial-distance abandonment, and never
-/// shows up in counters or output. `push(pos)` receives each matching
-/// packed position in ascending order; `found`/`evals` are updated in
-/// place. Returns true when the budget fired (caller stops its scan).
-/// Requires max_neighbors > 0; `found` may be nonzero from earlier ranges.
-template <typename PushFn>
-inline bool strip_scan_budgeted(simd::StripKernelFn kernel,
-                                std::span<const double> q, double eps2,
-                                const double* strips, size_t begin, size_t end,
-                                u64 max_neighbors, u64& found, u64& evals,
+/// One query's exact eps mask over the `active` lanes of `block`: the
+/// kernel with the float query `qf` when the thresholds are usable, the
+/// recheck of every active lane when they are not.
+template <typename RowFn>
+inline std::uint32_t strip_block_mask(simd::StripKernelFn kernel,
+                                      const simd::StripThresholds& th,
+                                      const float* qf,
+                                      std::span<const double> q, double eps2,
+                                      const float* block, std::uint32_t active,
+                                      RowFn&& row) {
+  simd::StripMasks m{0, active};
+  if (th.usable) {
+    kernel(qf, 1, q.size(), th.sure_le, th.maybe_le, block, active, &m);
+  }
+  return strip_recheck(m, q, eps2, row);
+}
+
+/// Neighbor-budgeted scan of packed strip positions [begin, end) with
+/// SCALAR stop-and-count semantics: the scalar reference loop walks rows in
+/// packed order, charges one distance_eval per row it visits, and returns
+/// the moment `found` reaches `max_neighbors` — charging the stopping row
+/// but nothing after it. `block_mask(base, active)` returns the exact eps
+/// decisions (block-lane bits) of the `active` lanes of the block starting
+/// at position `base` (strip_block_mask); since they are the scalar loop's
+/// decisions, the stopping row is the same row. A segment where the budget
+/// cannot fire is charged whole; in the segment where it fires, rows after
+/// the stopping match are neither pushed nor charged, even though the
+/// kernel already evaluated them — physical over-evaluation inside one
+/// strip is an implementation detail, like partial-distance abandonment,
+/// and never shows up in counters or output. `push(pos)` receives each
+/// matching packed position in ascending order; `found`/`evals` are
+/// updated in place. Returns true when the budget fired (caller stops its
+/// scan). Requires max_neighbors > 0; `found` may be nonzero from earlier
+/// ranges.
+template <typename MaskFn, typename PushFn>
+inline bool strip_scan_budgeted(size_t begin, size_t end, u64 max_neighbors,
+                                u64& found, u64& evals, MaskFn&& block_mask,
                                 PushFn&& push) {
-  const size_t dim = q.size();
   for (size_t i = begin; i < end;) {
-    const size_t lane = i % kDistanceStrip;
-    const size_t m = std::min(kDistanceStrip - lane, end - i);
-    std::uint32_t mask =
-        kernel(q.data(), dim, eps2, strip_lane(strips, i, dim), m);
+    const size_t base = i - i % kDistanceStrip;
+    const size_t stop = std::min(base + kDistanceStrip, end);
+    std::uint32_t mask = block_mask(base, strip_lanes(i - base, stop - base));
     const u64 hits = static_cast<u64>(std::popcount(mask));
     if (found + hits < max_neighbors) {
       // Budget cannot fire inside this segment: the scalar loop would have
       // visited (and charged) every row of it.
-      evals += m;
+      evals += stop - i;
       found += hits;
-      while (mask != 0) {
-        push(i + static_cast<size_t>(std::countr_zero(mask)));
-        mask &= mask - 1;
+      for (; mask != 0; mask &= mask - 1) {
+        push(base + static_cast<size_t>(std::countr_zero(mask)));
       }
-      i += m;
+      i = stop;
       continue;
     }
     // The budget fires at the (max_neighbors - found)-th match of this
     // segment; the scalar loop stops right after that row.
-    while (mask != 0) {
-      const size_t j = static_cast<size_t>(std::countr_zero(mask));
-      push(i + j);
-      mask &= mask - 1;
+    for (; mask != 0; mask &= mask - 1) {
+      const size_t pos = base + static_cast<size_t>(std::countr_zero(mask));
+      push(pos);
       if (++found >= max_neighbors) {
-        evals += static_cast<u64>(j) + 1;  // rows i .. i+j inclusive
+        evals += pos + 1 - i;  // rows i .. pos inclusive
         return true;
       }
     }
-    evals += m;  // unreachable when hits >= needed, kept for safety
-    i += m;
+    evals += stop - i;  // unreachable when hits >= needed, kept for safety
+    i = stop;
   }
   return false;
-}
-
-/// Blocked row-major (AoS) kernel: squared distances from `q` to `count`
-/// points stored contiguously row-major at `rows` (row stride == q.size()
-/// doubles), one result per row into `out`. The pre-SIMD leaf-scan
-/// workhorse, kept as the reference batch path for callers without a
-/// strip-transposed layout and as the oracle the strip kernels are tested
-/// against. Counted as exactly `count` distance evaluations — one per row,
-/// the same count the scalar squared_distance path would produce. Callers
-/// that must honor a neighbor budget mid-strip should use
-/// strip_scan_budgeted (strip layout) or the scalar path instead of passing
-/// rows they might not consume.
-inline void squared_distance_batch(std::span<const double> q,
-                                   const double* rows, size_t count,
-                                   double* out) {
-  const size_t dim = q.size();
-  switch (dim) {
-    case 1:
-      for (size_t i = 0; i < count; ++i) {
-        const double d0 = q[0] - rows[i];
-        out[i] = d0 * d0;
-      }
-      break;
-    case 2:
-      for (size_t i = 0; i < count; ++i) {
-        const double d0 = q[0] - rows[2 * i];
-        const double d1 = q[1] - rows[2 * i + 1];
-        out[i] = d0 * d0 + d1 * d1;
-      }
-      break;
-    case 3:
-      for (size_t i = 0; i < count; ++i) {
-        const double d0 = q[0] - rows[3 * i];
-        const double d1 = q[1] - rows[3 * i + 1];
-        const double d2 = q[2] - rows[3 * i + 2];
-        out[i] = d0 * d0 + d1 * d1 + d2 * d2;
-      }
-      break;
-    default:
-      for (size_t i = 0; i < count; ++i) {
-        const double* p = rows + i * dim;
-        double s = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = q[d] - p[d];
-          s += diff * diff;
-        }
-        out[i] = s;
-      }
-      break;
-  }
-  counters::distance_evals(count);
 }
 
 }  // namespace sdb

@@ -2,31 +2,109 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 namespace sdb::simd {
+
+namespace {
+
+/// Unit roundoffs and underflow steps (round to nearest): float, double.
+constexpr double kU = 0x1p-24;
+constexpr double kUd = 0x1p-53;
+/// Half the least float subnormal: the absolute error of a float rounding
+/// that underflows.
+constexpr double kEta = 0x1p-150;
+/// Per-dimension double underflow allowance, over-estimated so it stays a
+/// normal number (the true step is 2^-1075).
+constexpr double kEtaD = 0x1p-1020;
+/// Relative margin on s: covers the rounding of this double arithmetic.
+constexpr double kMargin = 1.0 + 0x1p-16;
+
+/// The largest float <= v / the smallest float >= v.
+float float_below(double v) {
+  float f = static_cast<float>(v);
+  if (static_cast<double>(f) > v) f = std::nextafter(f, -INFINITY);
+  return f;
+}
+float float_above(double v) {
+  float f = static_cast<float>(v);
+  if (static_cast<double>(f) < v) f = std::nextafter(f, INFINITY);
+  return f;
+}
+
+}  // namespace
+
+// The derivation is DESIGN.md §14. With r = sqrt(E), E the exact squared
+// distance and H the half-extent norm of the strip's origin box:
+//   L(r) = (1 - g) max(0, (1 - a) r - b)^2 - c0 <= F <= (1 + g)((1 + a) r + b)^2 + c0
+// with a = u'(1 + u) + u, b = (1 + u)(2 u' H + 2 eta sqrt(dim)),
+// g = dim u / (1 - dim u), c0 = (1 + g) dim eta, u' = u + ud + u ud; and
+// (1 - gd) E - cd <= D <= (1 + gd) E + cd for the double loop. Both float
+// bounds grow with r, so a lane with D > tau has F >= L(r_lo) and a lane
+// with D <= tau has F <= U(r_hi), which is what the thresholds test.
+StripSlack::StripSlack(double eps2, size_t dim) : tau_(eps2) {
+  const double n = static_cast<double>(dim);
+  if (!(2.0 * n * kU < 1.0)) return;  // the float sum bound needs n u < 1
+  const double up = kU + kUd + kU * kUd;
+  const double alpha = up * (1.0 + kU) + kU;
+  gamma_ = n * kU / (1.0 - n * kU);
+  c0_ = (1.0 + gamma_) * n * kEta;
+  b1_ = 2.0 * up * (1.0 + kU);
+  b0_ = 2.0 * kEta * std::sqrt(n) * (1.0 + kU);
+  const double gd = (n + 1.0) * kUd / (1.0 - (n + 1.0) * kUd);
+  const double cd = 2.0 * n * kEtaD;
+  r_hi_ = (1.0 + alpha) * std::sqrt((eps2 + cd) / (1.0 - gd));
+  r_lo_ = (1.0 - alpha) * std::sqrt(std::max(0.0, (eps2 - cd) / (1.0 + gd)));
+  usable_ = true;
+}
+
+StripThresholds StripSlack::at(double half_extent) const {
+  StripThresholds th;
+  // Stored coordinates must stay finite floats; NaN fails every test here.
+  if (!usable_ || !(half_extent <= FLT_MAX / 4)) return th;
+  const double beta = b1_ * half_extent + b0_;
+  const double upper = (1.0 + gamma_) * (r_hi_ + beta) * (r_hi_ + beta) + c0_;
+  const double lo_r = std::max(0.0, r_lo_ - beta);
+  const double lower = (1.0 - gamma_) * lo_r * lo_r - c0_;
+  const double s = std::max(upper - tau_, tau_ - lower) * kMargin;
+  // A float sum that overflowed to +inf must still read as "out": keep the
+  // maybe threshold well inside the float range.
+  if (!(tau_ + s <= FLT_MAX / 2)) return th;
+  th.sure_le = float_below(tau_ - s);
+  th.maybe_le = float_above(tau_ + s);
+  th.usable = true;
+  return th;
+}
+
 namespace detail {
 
 std::atomic<StripKernelFn> g_strip{nullptr};
 std::atomic<BoxKernelFn> g_box{nullptr};
 
-std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
-                           const double* lanes, size_t count) {
-  std::uint32_t mask = 0;
-  for (size_t j = 0; j < count; ++j) {
-    const double* col = lanes + j;
-    double s = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff = q[d] - col[d * kDistanceStrip];
-      s += diff * diff;
-      // Partial-distance abandonment: the sum is monotone, so once it
-      // exceeds eps^2 the lane's decision is already made.
-      if (s > eps2) break;
+void strip_scalar(const float* qs, size_t nq, size_t dim, float sure_le,
+                  float maybe_le, const float* block, std::uint32_t active,
+                  StripMasks* out) {
+  for (size_t t = 0; t < nq; ++t) {
+    const float* q = qs + t * dim;
+    StripMasks m;
+    for (std::uint32_t lanes = active; lanes != 0; lanes &= lanes - 1) {
+      const int j = std::countr_zero(lanes);
+      const float* col = block + j;
+      float s = 0.0f;
+      for (size_t d = 0; d < dim; ++d) {
+        const float diff = q[d] - col[d * kDistanceStrip];
+        s += diff * diff;
+        // Monotone: once above maybe_le the lane is out.
+        if (s > maybe_le) break;
+      }
+      if (s <= maybe_le) m.maybe |= std::uint32_t{1} << j;
+      if (s <= sure_le) m.sure |= std::uint32_t{1} << j;
     }
-    if (s <= eps2) mask |= std::uint32_t{1} << j;
+    out[t] = m;
   }
-  return mask;
 }
 
 std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
@@ -50,22 +128,25 @@ std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
 
 #if SDB_HAVE_AVX2
 // Defined in distance_simd_avx2.cpp (compiled with -mavx2 only).
-std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
-                         const double* lanes, size_t count);
+void strip_avx2(const float* qs, size_t nq, size_t dim, float sure_le,
+                float maybe_le, const float* block, std::uint32_t active,
+                StripMasks* out);
 std::uint32_t box_avx2(const double* qs, size_t dim, double eps2,
                        const double* box, std::uint32_t active);
 #endif
 #if SDB_HAVE_AVX512
 // Defined in distance_simd_avx512.cpp (compiled with -mavx512f only).
-std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
-                           const double* lanes, size_t count);
+void strip_avx512(const float* qs, size_t nq, size_t dim, float sure_le,
+                  float maybe_le, const float* block, std::uint32_t active,
+                  StripMasks* out);
 std::uint32_t box_avx512(const double* qs, size_t dim, double eps2,
                          const double* box, std::uint32_t active);
 #endif
 #if SDB_HAVE_NEON
 // Defined in distance_simd_neon.cpp.
-std::uint32_t strip_neon(const double* q, size_t dim, double eps2,
-                         const double* lanes, size_t count);
+void strip_neon(const float* qs, size_t nq, size_t dim, float sure_le,
+                float maybe_le, const float* block, std::uint32_t active,
+                StripMasks* out);
 #endif
 
 namespace {

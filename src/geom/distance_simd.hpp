@@ -6,49 +6,56 @@
 // al.) shows the winning idiom: coalesced structure-of-arrays accesses and
 // divergence-free inner loops. This header ports that idiom to SIMD lanes.
 //
-// Layout contract (the "strip" layout): candidate points are stored in
-// blocks of kDistanceStrip lanes. Within a block, coordinates are
+// Layout contract (the "strip" layout): candidate points are stored as
+// float32 in blocks of kDistanceStrip lanes. Within a block, coordinates are
 // dimension-major — all d=0 values of the block's points, then all d=1
 // values, and so on — so the distance loop over `dim` is a pure vertical
 // reduction: each vector lane accumulates one point's squared distance with
 // unit-stride loads and no per-point pointer chasing. Blocks are addressed
 // by global position: position i lives in block i / kDistanceStrip at lane
-// i % kDistanceStrip, and a scan may enter a block at any lane offset (a
-// kd-tree leaf can start mid-block).
+// i % kDistanceStrip. A stored coordinate is float(p[d] - c[d]) for an
+// origin c chosen by the owner of the strip (the kd-tree: its leaf's box
+// centre; brute force: the data's box centre; the kNN builders: the query
+// row itself), and the query is converted the same way, so the float
+// magnitudes are the leaf extent, not the data's offset from zero.
 //
-// Determinism contract: every variant (scalar fallback, AVX2, AVX-512, NEON)
-// returns bit-identical eps-decision masks. Each lane accumulates
-// (q[d] - p[d])^2 in ascending-d order with UNFUSED multiply and add — the
-// same operation sequence as the scalar squared_distance() — so
-// eps-membership decisions, cluster labels, and exactly-eps boundary pairs
-// agree byte-for-byte across variants and hosts. FMA contraction is
-// deliberately not used: a fused multiply-add rounds once instead of twice,
-// which would flip points that land within one ulp of the eps boundary.
-// -ffp-contract=off is pinned PROJECT-WIDE (top-level CMakeLists), not just
-// on the vector TUs — the scalar reference loops are header-inline in every
-// spatial TU, and on targets where fmadd is baseline (aarch64) the compiler
-// would otherwise contract them while the kernels stay unfused.
+// Tile kernel: one call scans ONE whole block for up to kStripTile queries,
+// so every strip row it loads serves several queries. `active` selects the
+// block lanes that count (a kd-tree leaf may start or end mid-block; the
+// other lanes belong to neighbouring leaves and are ignored).
 //
-// Abandonment: a kernel MAY stop accumulating a lane — or stop fetching
-// further dimension rows for the whole strip — once the partial sums it is
-// tracking already exceed eps^2. The accumulation is monotone (every term
-// is non-negative, and IEEE round-to-nearest addition of a non-negative
-// value never decreases a sum), so a partial sum above eps^2 decides the
-// final test exactly; abandonment changes how many bytes the kernel reads,
-// never which bits it returns. This is why the contract hands the kernel
-// eps^2 and takes back a decision mask instead of raw squared distances:
-// returning the distances would force every lane to full depth, and the
-// leaf scan at scale is bound by strip memory traffic, not arithmetic.
-// Callers that need actual squared distances still get kernel help: kNN
-// filters leaf candidates through the mask with eps^2 = its current worst
-// heap distance and computes exact distances only for survivors, and
-// neighbor-budgeted scans reconstruct the scalar loop's exact stop row and
-// distance_evals charge from the mask (strip_scan_budgeted, distance.hpp).
+// Decision contract: the float sum F of a lane is not the double sum D the
+// rest of the system decides on (squared_distance_uncounted: unfused,
+// ascending d). DESIGN.md §14 derives a rigorous slack s with |F - D| small
+// enough that, for the thresholds StripSlack hands out,
+//   F <= sure_le   implies D <= eps^2   (the lane is in),
+//   F >  maybe_le  implies D >  eps^2   (the lane is out),
+// and only lanes with sure_le < F <= maybe_le are undecided. Callers recheck
+// those "maybe" lanes with squared_distance_uncounted on the double rows, so
+// every final eps decision, cluster label and exactly-eps boundary pair is
+// the double loop's, on every variant and host. The masks themselves are
+// only bounded, not bit-identical across variants. When the bound is not
+// usable (non-finite inputs, a leaf or threshold beyond float range) the
+// thresholds report !usable and the caller decides every lane by the
+// recheck: slow, but exact.
+//
+// FMA contraction is still not used: -ffp-contract=off is pinned
+// PROJECT-WIDE (top-level CMakeLists), because the double recheck and the
+// box test must stay the unfused ascending-d loops every decision is
+// defined by.
+//
+// Abandonment: a kernel MAY stop fetching further dimension rows once every
+// active lane of every query in the tile has a partial sum above maybe_le.
+// Float accumulation of non-negative terms is monotone (round-to-nearest
+// addition of a non-negative value never decreases a sum), so such a lane
+// would end above maybe_le: out. The test is compare-based, so a NaN lane
+// is simply "not <=" and never hides another lane.
 //
 // Box kernel: the kd-tree's batched walk (KdTree::range_query_batch) tests
-// a block of up to 32 queries, stored in the same strip layout, against one
-// node box per call (BoxKernelFn below). Same rules: ascending d, unfused,
-// monotone abandonment, decisions bit-identical to the scalar box test.
+// a block of up to 32 queries, stored in the same strip layout but as
+// double, against one node box per call (BoxKernelFn below): ascending d,
+// unfused, monotone abandonment, decisions bit-identical to the scalar box
+// test.
 //
 // Dispatch: the kernels are function pointers resolved on first use — CPU
 // feature detection (AVX-512F then AVX2 on x86-64, NEON on aarch64) gated by the
@@ -57,9 +64,8 @@
 // scalar-only build (-DSDB_SIMD=OFF) is just the permanent fallback.
 //
 // Counters: these entry points do NOT touch work counters — callers charge
-// distance_evals themselves (see distance.hpp's counted wrappers and the
-// per-query batching in the spatial indexes), keeping counts exact and the
-// hot loop free of thread-local lookups.
+// distance_evals themselves (one per candidate row, rechecked or not), so
+// counts stay exact and the hot loop stays free of thread-local lookups.
 #pragma once
 
 #include <atomic>
@@ -69,53 +75,93 @@
 namespace sdb {
 
 /// Strip width of the blocked/SIMD kernels: callers evaluate candidates in
-/// blocks of at most this many points (small enough for a stack result
-/// buffer, large enough that the vector loops amortize dispatch).
+/// blocks of this many points (small enough for a stack result buffer,
+/// large enough that the vector loops amortize dispatch).
 inline constexpr size_t kDistanceStrip = 32;
+/// Most queries one strip-kernel call scans per strip load.
+inline constexpr size_t kStripTile = 4;
 
 namespace simd {
 
 enum class KernelVariant { kScalar = 0, kAvx2 = 1, kNeon = 2, kAvx512 = 3 };
 
-/// fn(q, dim, eps2, lanes, count) -> mask:
-///   bit j of the result is set iff
-///   sum_d (q[d] - lanes[d * kDistanceStrip + j])^2 <= eps2,   for j < count;
-///   bits >= count are always zero (count <= kDistanceStrip = 32, so the
-///   mask fits a u32 exactly).
-/// `lanes` points at the first lane to evaluate inside one strip block
-/// (block base + lane offset); `count` never crosses a block boundary, so
-/// count + (lanes - block_base) % kDistanceStrip <= kDistanceStrip. Inputs
-/// are assumed finite (no NaN/inf coordinates or eps).
-using StripKernelFn = std::uint32_t (*)(const double* q, size_t dim,
-                                        double eps2, const double* lanes,
-                                        size_t count);
+/// One query's result of a strip-kernel call, in block-lane bits.
+struct StripMasks {
+  std::uint32_t sure = 0;   ///< F <= sure_le: in, no recheck needed
+  std::uint32_t maybe = 0;  ///< F <= maybe_le: in or undecided (sure ⊆ maybe)
+};
+
+/// fn(qs, nq, dim, sure_le, maybe_le, block, active, out):
+///   for t < nq, with F(t, j) the float sum over d of
+///   (qs[t * dim + d] - block[d * kDistanceStrip + j])^2,
+///   bit j of out[t].maybe is set iff bit j of `active` is set and
+///   F(t, j) <= maybe_le, and bit j of out[t].sure iff also
+///   F(t, j) <= sure_le (a variant may compute F in any order and
+///   precision the DESIGN.md §14 bound covers: float, unfused).
+/// 1 <= nq <= kStripTile. `block` is the start of one whole strip block
+/// (every lane readable; inactive lanes may hold anything, NaN included).
+/// Requires sure_le <= maybe_le < FLT_MAX.
+using StripKernelFn = void (*)(const float* qs, size_t nq, size_t dim,
+                               float sure_le, float maybe_le,
+                               const float* block, std::uint32_t active,
+                               StripMasks* out);
 
 /// fn(qs, dim, eps2, box, active) -> mask: the box test of a block of up
 /// to kDistanceStrip queries against one axis-aligned box.
 ///   bit j of the result is set iff bit j of `active` is set and
 ///   sum_d max(max(box[2d] - qs[d * kDistanceStrip + j],
 ///                 qs[d * kDistanceStrip + j] - box[2d + 1]), 0)^2 <= eps2.
-/// `qs` is one full strip block of query coordinates (dimension-major, all
-/// kDistanceStrip lanes finite, inactive lanes included); `box` is
-/// interleaved [lo0, hi0, lo1, hi1, ...]. Every variant accumulates in
+/// `qs` is one full strip block of query coordinates (double, dimension-
+/// major, all kDistanceStrip lanes finite, inactive lanes included); `box`
+/// is interleaved [lo0, hi0, lo1, hi1, ...]. Every variant accumulates in
 /// ascending d with unfused multiply and add, so the decisions are
 /// bit-identical to the kd-tree's scalar box_distance2 test.
 using BoxKernelFn = std::uint32_t (*)(const double* qs, size_t dim,
                                       double eps2, const double* box,
                                       std::uint32_t active);
 
+/// The float thresholds of one eps test (see the decision contract).
+struct StripThresholds {
+  float sure_le = 0.0f;
+  float maybe_le = 0.0f;
+  /// false: the bound does not hold here; decide every lane by the recheck.
+  bool usable = false;
+};
+
+/// The slack of DESIGN.md §14 for one eps^2 and dimension, split so the
+/// part that depends on eps^2 is computed once per query batch and the
+/// per-strip part is a handful of flops.
+class StripSlack {
+ public:
+  StripSlack(double eps2, size_t dim);
+  /// Thresholds for strips whose stored coordinates satisfy
+  /// |p[d] - c[d]| <= h[d] with half_extent >= ||h||_2 (0 for the
+  /// query-relative form, where the origin is the query row itself).
+  [[nodiscard]] StripThresholds at(double half_extent) const;
+
+ private:
+  double tau_ = 0.0;
+  double gamma_ = 0.0;  ///< float squares + sum, relative
+  double c0_ = 0.0;     ///< float underflow, absolute
+  double b1_ = 0.0;     ///< beta = b1 * H + b0
+  double b0_ = 0.0;
+  double r_hi_ = 0.0;  ///< (1 + alpha) * sqrt(largest E with D <= tau)
+  double r_lo_ = 0.0;  ///< (1 - alpha) * sqrt(smallest E with D > tau)
+  bool usable_ = false;
+};
+
 namespace detail {
 
 /// The dispatched kernels; null until first resolution. Relaxed atomics:
-/// all candidate values are interchangeable (bit-identical results), so
-/// racing initializations are benign.
+/// every candidate satisfies the same contract, so racing initializations
+/// are benign.
 extern std::atomic<StripKernelFn> g_strip;
 extern std::atomic<BoxKernelFn> g_box;
 
-/// Scalar reference implementations — always built, and the ground truth
-/// the vector variants are tested bit-equal against.
-std::uint32_t strip_scalar(const double* q, size_t dim, double eps2,
-                           const double* lanes, size_t count);
+/// Scalar reference implementations — always built.
+void strip_scalar(const float* qs, size_t nq, size_t dim, float sure_le,
+                  float maybe_le, const float* block, std::uint32_t active,
+                  StripMasks* out);
 std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
                          const double* box, std::uint32_t active);
 
@@ -123,8 +169,8 @@ std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
 /// its kernels in g_strip and g_box.
 void resolve();
 
-/// The active strip kernel (resolving on first use). Fetch once per query,
-/// not per strip, to keep the atomic load off the inner loop.
+/// The active strip kernel (resolving on first use). Fetch once per query
+/// or batch, not per strip, to keep the atomic load off the inner loop.
 inline StripKernelFn strip_kernel() {
   StripKernelFn fn = g_strip.load(std::memory_order_relaxed);
   if (fn != nullptr) return fn;
@@ -140,23 +186,14 @@ inline BoxKernelFn box_kernel() {
   return g_box.load(std::memory_order_relaxed);
 }
 
-}  // namespace detail
-
-namespace detail {
-
 /// Abandonment probe schedule shared by every vector kernel: probe after
 /// dimension `d` iff this returns true. Dense early (every 2nd dim through
-/// d=7, where low-d adversarial scans become decidable within a few dims),
-/// then geometric (d = 15, 31, 63, ... — after each probe the kernel walks
-/// at most as many dims again before the next one). The old fixed every-2nd
-/// schedule paid ~d/2 horizontal min-tree reductions per strip at d >= 64 —
-/// pure overhead on high-d strips whose partial sums cross eps^2 late or
-/// not at all — while the geometric tail keeps the dims walked after the
-/// scan becomes decidable bounded by 2x. Probing is always mask-safe at ANY
-/// schedule: abandonment fires only when every lane's partial sum already
-/// exceeds eps^2, which decides the final test exactly (monotonicity), so
-/// the schedule changes bytes read and probe arithmetic, never mask bits —
-/// pinned by the d=128 bit-identity fixtures in test_distance_kernels.
+/// d=7, where low-d scans become decidable within a few dims), then
+/// geometric (d = 15, 31, 63, ... — after each probe the kernel walks at
+/// most as many dims again before the next one), so high-d strips whose
+/// partial sums cross the threshold late do not pay ~d/2 probes. Probing is
+/// decision-safe at ANY schedule (see Abandonment above); the schedule
+/// changes bytes read and probe arithmetic only.
 constexpr bool abandon_probe_due(size_t d, size_t dim) {
   return (d & 1) != 0 && (d < 8 || (d & (d + 1)) == 0) && d + 1 < dim;
 }

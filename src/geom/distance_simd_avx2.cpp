@@ -1,18 +1,17 @@
-// AVX2 strip kernel. Compiled with -mavx2 ONLY (no -mfma) and
-// -ffp-contract=off: the accumulation must stay an unfused multiply + add so
-// every lane's partial sums are bit-identical to the scalar fallback — a
-// fused multiply-add's single rounding would flip exactly-eps boundary
-// pairs. The speedup comes from three places: the lanes (4 doubles per
-// vector), the unit-stride SoA loads, and partial-distance abandonment —
-// the kernel walks dimensions OUTERMOST across all lanes of the strip and
-// stops fetching further dimension rows once every lane's partial sum
-// already exceeds eps^2. Squared-distance accumulation is monotone
-// (non-negative terms, and IEEE round-to-nearest addition of a non-negative
-// value never decreases the sum), so "partial > eps^2" decides the final
-// eps test exactly; abandonment changes how much memory the kernel reads —
-// decisive when the strip working set exceeds cache — never the answer.
+// AVX2 kernels. Compiled with -mavx2 ONLY (no -mfma) and
+// -ffp-contract=off: the box kernel's accumulation must stay an unfused
+// multiply + add so its decisions are bit-identical to the scalar box test,
+// and the float strip sums stay the unfused evaluation the DESIGN.md §14
+// bound is stated for.
 //
-// The box kernel (box_avx2) tests a 32-lane query block against one
+// Strip kernel: a 32-lane float block is four ymm rows per dimension. With
+// only 16 ymm registers a tile holds two queries (8 accumulators, 4 strip
+// rows, a broadcast and a temporary), so a call with 3 or 4 queries makes
+// two passes over the block; each strip row loaded still serves two
+// queries. The walk is dimension-outermost with compare-based abandonment
+// (see distance_simd.hpp).
+//
+// The box kernel (box_avx2) tests a 32-lane double query block against one
 // kd-tree node box in eight 4-wide groups, same no-FMA rule.
 //
 // Only selected when __builtin_cpu_supports("avx2") at dispatch time, so
@@ -29,119 +28,74 @@ namespace sdb::simd::detail {
 
 namespace {
 
-/// Full 32-lane block: eight 4-wide accumulators, fully unrolled so they
-/// live in registers. The abandonment probe (a 7-min tree + one compare +
-/// movemask, cheap against the 8 loads the skipped dimensions would have
-/// cost) runs on the shared dense-early/geometric-tail schedule —
-/// abandon_probe_due in distance_simd.hpp.
-inline std::uint32_t strip_avx2_full(const double* q, size_t dim, double eps2,
-                                     const double* lanes) {
-  __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
-  __m256d a4 = _mm256_setzero_pd(), a5 = _mm256_setzero_pd();
-  __m256d a6 = _mm256_setzero_pd(), a7 = _mm256_setzero_pd();
-  const __m256d veps = _mm256_set1_pd(eps2);
-  for (size_t d = 0; d < dim; ++d) {
-    const __m256d vq = _mm256_broadcast_sd(q + d);
-    const double* row = lanes + d * kDistanceStrip;
-    const __m256d d0 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 0));
-    const __m256d d1 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 4));
-    const __m256d d2 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 8));
-    const __m256d d3 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 12));
-    a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
-    a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
-    a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
-    a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
-    const __m256d d4 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 16));
-    const __m256d d5 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 20));
-    const __m256d d6 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 24));
-    const __m256d d7 = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 28));
-    a4 = _mm256_add_pd(a4, _mm256_mul_pd(d4, d4));
-    a5 = _mm256_add_pd(a5, _mm256_mul_pd(d5, d5));
-    a6 = _mm256_add_pd(a6, _mm256_mul_pd(d6, d6));
-    a7 = _mm256_add_pd(a7, _mm256_mul_pd(d7, d7));
-    if (abandon_probe_due(d, dim)) {
-      const __m256d m01 = _mm256_min_pd(a0, a1);
-      const __m256d m23 = _mm256_min_pd(a2, a3);
-      const __m256d m45 = _mm256_min_pd(a4, a5);
-      const __m256d m67 = _mm256_min_pd(a6, a7);
-      const __m256d m = _mm256_min_pd(_mm256_min_pd(m01, m23),
-                                      _mm256_min_pd(m45, m67));
-      if (_mm256_movemask_pd(_mm256_cmp_pd(m, veps, _CMP_LE_OQ)) == 0) {
-        return 0;  // every lane's partial sum already exceeds eps^2
-      }
-    }
-  }
-  std::uint32_t mask = 0;
-  mask |= static_cast<std::uint32_t>(
-      _mm256_movemask_pd(_mm256_cmp_pd(a0, veps, _CMP_LE_OQ)));
-  mask |= static_cast<std::uint32_t>(
-              _mm256_movemask_pd(_mm256_cmp_pd(a1, veps, _CMP_LE_OQ))) << 4;
-  mask |= static_cast<std::uint32_t>(
-              _mm256_movemask_pd(_mm256_cmp_pd(a2, veps, _CMP_LE_OQ))) << 8;
-  mask |= static_cast<std::uint32_t>(
-              _mm256_movemask_pd(_mm256_cmp_pd(a3, veps, _CMP_LE_OQ))) << 12;
-  mask |= static_cast<std::uint32_t>(
-              _mm256_movemask_pd(_mm256_cmp_pd(a4, veps, _CMP_LE_OQ))) << 16;
-  mask |= static_cast<std::uint32_t>(
-              _mm256_movemask_pd(_mm256_cmp_pd(a5, veps, _CMP_LE_OQ))) << 20;
-  mask |= static_cast<std::uint32_t>(
-              _mm256_movemask_pd(_mm256_cmp_pd(a6, veps, _CMP_LE_OQ))) << 24;
-  mask |= static_cast<std::uint32_t>(
-              _mm256_movemask_pd(_mm256_cmp_pd(a7, veps, _CMP_LE_OQ))) << 28;
-  return mask;
+/// +inf in the 8 float lanes of group `g` whose `active` bits are clear, 0
+/// in the rest: inactive lanes never count in the abandonment test and
+/// compare false at the end.
+inline __m256 strip_group_init(std::uint32_t active, size_t g) {
+  const __m256i sel = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+  const __m256i bits =
+      _mm256_set1_epi32(static_cast<int>((active >> (8 * g)) & 0xFF));
+  const __m256i on = _mm256_cmpeq_epi32(_mm256_and_si256(bits, sel), sel);
+  return _mm256_blendv_ps(
+      _mm256_set1_ps(std::numeric_limits<float>::infinity()),
+      _mm256_setzero_ps(), _mm256_castsi256_ps(on));
 }
 
-/// Partial strip (a scan entering or leaving a block mid-strip). Groups of
-/// 4 lanes; the ragged tail group loads through maskload — the lanes past
-/// `count` may sit past the end of the buffer's final dimension row, so an
-/// unmasked 4-wide load could fault. Inactive tail lanes accumulate from
-/// +inf: they never hold the min down (so they cannot block abandonment)
-/// and they compare false in the final <= eps^2 test, which keeps bits
-/// >= count zero without any extra masking.
-inline std::uint32_t strip_avx2_partial(const double* q, size_t dim,
-                                        double eps2, const double* lanes,
-                                        size_t count) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const size_t full = count / 4;
-  const size_t rem = count - full * 4;
-  const size_t groups = full + (rem != 0 ? 1 : 0);
-  __m256d acc[kDistanceStrip / 4];
-  for (size_t g = 0; g < full; ++g) acc[g] = _mm256_setzero_pd();
-  __m256i tail_mask = _mm256_setzero_si256();
-  if (rem != 0) {
-    acc[full] = _mm256_setr_pd(0.0, rem > 1 ? 0.0 : kInf,
-                               rem > 2 ? 0.0 : kInf, kInf);
-    tail_mask = _mm256_setr_epi64x(-1, rem > 1 ? -1 : 0, rem > 2 ? -1 : 0, 0);
+/// One tile of T <= 2 queries against one block.
+template <size_t T>
+inline void strip_tile_avx2(const float* qs, size_t dim, float sure_le,
+                            float maybe_le, const float* block,
+                            std::uint32_t active, StripMasks* out) {
+  __m256 acc[T][4];
+  for (size_t g = 0; g < 4; ++g) {
+    const __m256 init = strip_group_init(active, g);
+    for (size_t t = 0; t < T; ++t) acc[t][g] = init;
   }
-  const __m256d veps = _mm256_set1_pd(eps2);
+  const __m256 vmaybe = _mm256_set1_ps(maybe_le);
   for (size_t d = 0; d < dim; ++d) {
-    const __m256d vq = _mm256_broadcast_sd(q + d);
-    const double* row = lanes + d * kDistanceStrip;
-    for (size_t g = 0; g < full; ++g) {
-      const __m256d diff = _mm256_sub_pd(vq, _mm256_loadu_pd(row + 4 * g));
-      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(diff, diff));
-    }
-    if (rem != 0) {
-      const __m256d p = _mm256_maskload_pd(row + 4 * full, tail_mask);
-      const __m256d diff = _mm256_sub_pd(vq, p);
-      acc[full] = _mm256_add_pd(acc[full], _mm256_mul_pd(diff, diff));
+    const float* row = block + d * kDistanceStrip;
+    const __m256 p0 = _mm256_loadu_ps(row);
+    const __m256 p1 = _mm256_loadu_ps(row + 8);
+    const __m256 p2 = _mm256_loadu_ps(row + 16);
+    const __m256 p3 = _mm256_loadu_ps(row + 24);
+    for (size_t t = 0; t < T; ++t) {
+      const __m256 vq = _mm256_broadcast_ss(qs + t * dim + d);
+      const __m256 d0 = _mm256_sub_ps(vq, p0);
+      const __m256 d1 = _mm256_sub_ps(vq, p1);
+      const __m256 d2 = _mm256_sub_ps(vq, p2);
+      const __m256 d3 = _mm256_sub_ps(vq, p3);
+      acc[t][0] = _mm256_add_ps(acc[t][0], _mm256_mul_ps(d0, d0));
+      acc[t][1] = _mm256_add_ps(acc[t][1], _mm256_mul_ps(d1, d1));
+      acc[t][2] = _mm256_add_ps(acc[t][2], _mm256_mul_ps(d2, d2));
+      acc[t][3] = _mm256_add_ps(acc[t][3], _mm256_mul_ps(d3, d3));
     }
     if (abandon_probe_due(d, dim)) {
-      __m256d m = acc[0];
-      for (size_t g = 1; g < groups; ++g) m = _mm256_min_pd(m, acc[g]);
-      if (_mm256_movemask_pd(_mm256_cmp_pd(m, veps, _CMP_LE_OQ)) == 0) {
-        return 0;
+      __m256 any = _mm256_setzero_ps();
+      for (size_t t = 0; t < T; ++t) {
+        for (size_t g = 0; g < 4; ++g) {
+          any = _mm256_or_ps(any, _mm256_cmp_ps(acc[t][g], vmaybe,
+                                                _CMP_LE_OQ));
+        }
+      }
+      if (_mm256_movemask_ps(any) == 0) {
+        for (size_t t = 0; t < T; ++t) out[t] = StripMasks{};
+        return;  // every lane's partial sum already exceeds maybe_le
       }
     }
   }
-  std::uint32_t mask = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    mask |= static_cast<std::uint32_t>(_mm256_movemask_pd(
-                _mm256_cmp_pd(acc[g], veps, _CMP_LE_OQ)))
-            << (4 * g);
+  const __m256 vsure = _mm256_set1_ps(sure_le);
+  for (size_t t = 0; t < T; ++t) {
+    StripMasks m;
+    for (size_t g = 0; g < 4; ++g) {
+      m.maybe |= static_cast<std::uint32_t>(_mm256_movemask_ps(
+                     _mm256_cmp_ps(acc[t][g], vmaybe, _CMP_LE_OQ)))
+                 << (8 * g);
+      m.sure |= static_cast<std::uint32_t>(_mm256_movemask_ps(
+                    _mm256_cmp_ps(acc[t][g], vsure, _CMP_LE_OQ)))
+                << (8 * g);
+    }
+    out[t] = m;
   }
-  return mask;
 }
 
 /// One box-kernel group: +inf in the lanes whose `bits` are clear, 0 in
@@ -198,10 +152,18 @@ std::uint32_t box_avx2(const double* qs, size_t dim, double eps2,
   return mask;
 }
 
-std::uint32_t strip_avx2(const double* q, size_t dim, double eps2,
-                         const double* lanes, size_t count) {
-  if (count == kDistanceStrip) return strip_avx2_full(q, dim, eps2, lanes);
-  return strip_avx2_partial(q, dim, eps2, lanes, count);
+void strip_avx2(const float* qs, size_t nq, size_t dim, float sure_le,
+                float maybe_le, const float* block, std::uint32_t active,
+                StripMasks* out) {
+  for (size_t t = 0; t < nq; t += 2) {
+    if (nq - t >= 2) {
+      strip_tile_avx2<2>(qs + t * dim, dim, sure_le, maybe_le, block, active,
+                         out + t);
+    } else {
+      strip_tile_avx2<1>(qs + t * dim, dim, sure_le, maybe_le, block, active,
+                         out + t);
+    }
+  }
 }
 
 }  // namespace sdb::simd::detail

@@ -1,15 +1,16 @@
-// AVX-512F strip kernel. Compiled with -mavx512f ONLY (no -mfma implied
-// contraction: -ffp-contract=off is also pinned) so the accumulation stays
-// an unfused multiply + add, bit-identical to the scalar fallback — see the
-// determinism contract in distance_simd.hpp. Relative to the AVX2 variant
-// this halves the vector op count (8 doubles per register, a full
-// 32-lane strip in 4 accumulators) and replaces the movemask shuffle
-// dance with native mask registers: _mm512_cmp_pd_mask yields the
-// decision bits directly, and masked loads make the ragged tail group
-// fault-free without a separate maskload constant.
+// AVX-512F kernels. Compiled with -mavx512f ONLY and -ffp-contract=off, so
+// the float strip sums stay unfused multiply + add (the DESIGN.md §14 bound
+// covers any float evaluation, but the box kernel must stay bit-identical
+// to the scalar box test).
 //
-// The box kernel (box_avx512) tests a 32-lane query block against one
-// kd-tree node box with the same accumulator shape.
+// Strip kernel: a whole 32-lane float block is two zmm rows per dimension,
+// and a tile of up to kStripTile = 4 queries keeps 8 accumulators in
+// registers, so every strip row loaded serves all the tile's queries.
+// Native mask registers give the decision bits directly
+// (_mm512_cmp_ps_mask).
+//
+// The box kernel (box_avx512) tests a 32-lane double query block against
+// one kd-tree node box with four 8-wide accumulators.
 //
 // Only selected when __builtin_cpu_supports("avx512f") at dispatch time,
 // so building this TU on any x86-64 toolchain is safe for older hosts.
@@ -25,101 +26,82 @@ namespace sdb::simd::detail {
 
 namespace {
 
-/// Full 32-lane block: four 8-wide accumulators, fully unrolled so they
-/// live in registers. The abandonment probe runs every second dimension —
-/// a 3-min tree + one mask compare, cheap against the 4 loads the skipped
-/// dimensions would have cost.
-inline std::uint32_t strip_avx512_full(const double* q, size_t dim,
-                                       double eps2, const double* lanes) {
-  __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-  __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
-  const __m512d veps = _mm512_set1_pd(eps2);
+/// One tile of T queries against one block. Inactive lanes start at +inf:
+/// they never count in the abandonment test and compare false at the end.
+template <size_t T>
+inline void strip_tile_avx512(const float* qs, size_t dim, float sure_le,
+                              float maybe_le, const float* block,
+                              std::uint32_t active, StripMasks* out) {
+  const __m512 inf = _mm512_set1_ps(std::numeric_limits<float>::infinity());
+  const __m512 zero = _mm512_setzero_ps();
+  const auto lo_lanes = static_cast<__mmask16>(active);
+  const auto hi_lanes = static_cast<__mmask16>(active >> 16);
+  __m512 a0[T], a1[T];
+  for (size_t t = 0; t < T; ++t) {
+    a0[t] = _mm512_mask_mov_ps(inf, lo_lanes, zero);
+    a1[t] = _mm512_mask_mov_ps(inf, hi_lanes, zero);
+  }
+  const __m512 vmaybe = _mm512_set1_ps(maybe_le);
   for (size_t d = 0; d < dim; ++d) {
-    const __m512d vq = _mm512_set1_pd(q[d]);
-    const double* row = lanes + d * kDistanceStrip;
-    const __m512d d0 = _mm512_sub_pd(vq, _mm512_loadu_pd(row + 0));
-    const __m512d d1 = _mm512_sub_pd(vq, _mm512_loadu_pd(row + 8));
-    const __m512d d2 = _mm512_sub_pd(vq, _mm512_loadu_pd(row + 16));
-    const __m512d d3 = _mm512_sub_pd(vq, _mm512_loadu_pd(row + 24));
-    a0 = _mm512_add_pd(a0, _mm512_mul_pd(d0, d0));
-    a1 = _mm512_add_pd(a1, _mm512_mul_pd(d1, d1));
-    a2 = _mm512_add_pd(a2, _mm512_mul_pd(d2, d2));
-    a3 = _mm512_add_pd(a3, _mm512_mul_pd(d3, d3));
+    const float* row = block + d * kDistanceStrip;
+    const __m512 p0 = _mm512_loadu_ps(row);
+    const __m512 p1 = _mm512_loadu_ps(row + 16);
+    for (size_t t = 0; t < T; ++t) {
+      const __m512 vq = _mm512_set1_ps(qs[t * dim + d]);
+      const __m512 d0 = _mm512_sub_ps(vq, p0);
+      const __m512 d1 = _mm512_sub_ps(vq, p1);
+      a0[t] = _mm512_add_ps(a0[t], _mm512_mul_ps(d0, d0));
+      a1[t] = _mm512_add_ps(a1[t], _mm512_mul_ps(d1, d1));
+    }
     if (abandon_probe_due(d, dim)) {
-      const __m512d m =
-          _mm512_min_pd(_mm512_min_pd(a0, a1), _mm512_min_pd(a2, a3));
-      if (_mm512_cmp_pd_mask(m, veps, _CMP_LE_OQ) == 0) {
-        return 0;  // every lane's partial sum already exceeds eps^2
+      __mmask16 any = 0;
+      for (size_t t = 0; t < T; ++t) {
+        any |= _mm512_cmp_ps_mask(a0[t], vmaybe, _CMP_LE_OQ);
+        any |= _mm512_cmp_ps_mask(a1[t], vmaybe, _CMP_LE_OQ);
+      }
+      if (any == 0) {
+        for (size_t t = 0; t < T; ++t) out[t] = StripMasks{};
+        return;  // every lane's partial sum already exceeds maybe_le
       }
     }
   }
-  std::uint32_t mask = 0;
-  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a0, veps, _CMP_LE_OQ));
-  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a1, veps, _CMP_LE_OQ))
-          << 8;
-  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a2, veps, _CMP_LE_OQ))
-          << 16;
-  mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a3, veps, _CMP_LE_OQ))
-          << 24;
-  return mask;
-}
-
-/// Partial strip (a scan entering or leaving a block mid-strip). Groups of
-/// 8 lanes; the ragged tail group loads through a lane mask — the lanes
-/// past `count` may sit past the end of the buffer's final dimension row,
-/// so an unmasked 8-wide load could fault. Inactive tail lanes accumulate
-/// from +inf: they never hold the min down (so they cannot block
-/// abandonment) and they compare false in the final <= eps^2 test, which
-/// keeps bits >= count zero without any extra masking.
-inline std::uint32_t strip_avx512_partial(const double* q, size_t dim,
-                                          double eps2, const double* lanes,
-                                          size_t count) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  const size_t full = count / 8;
-  const size_t rem = count - full * 8;
-  const size_t groups = full + (rem != 0 ? 1 : 0);
-  __m512d acc[kDistanceStrip / 8];
-  for (size_t g = 0; g < full; ++g) acc[g] = _mm512_setzero_pd();
-  __mmask8 tail = 0;
-  if (rem != 0) {
-    tail = static_cast<__mmask8>((1u << rem) - 1u);
-    // Active tail lanes start at 0, inactive ones at +inf.
-    acc[full] = _mm512_mask_mov_pd(_mm512_set1_pd(kInf), tail,
-                                   _mm512_setzero_pd());
+  const __m512 vsure = _mm512_set1_ps(sure_le);
+  for (size_t t = 0; t < T; ++t) {
+    out[t].maybe =
+        static_cast<std::uint32_t>(_mm512_cmp_ps_mask(a0[t], vmaybe,
+                                                      _CMP_LE_OQ)) |
+        static_cast<std::uint32_t>(_mm512_cmp_ps_mask(a1[t], vmaybe,
+                                                      _CMP_LE_OQ))
+            << 16;
+    out[t].sure =
+        static_cast<std::uint32_t>(_mm512_cmp_ps_mask(a0[t], vsure,
+                                                      _CMP_LE_OQ)) |
+        static_cast<std::uint32_t>(_mm512_cmp_ps_mask(a1[t], vsure,
+                                                      _CMP_LE_OQ))
+            << 16;
   }
-  const __m512d veps = _mm512_set1_pd(eps2);
-  for (size_t d = 0; d < dim; ++d) {
-    const __m512d vq = _mm512_set1_pd(q[d]);
-    const double* row = lanes + d * kDistanceStrip;
-    for (size_t g = 0; g < full; ++g) {
-      const __m512d diff = _mm512_sub_pd(vq, _mm512_loadu_pd(row + 8 * g));
-      acc[g] = _mm512_add_pd(acc[g], _mm512_mul_pd(diff, diff));
-    }
-    if (rem != 0) {
-      // maskz load: inactive lanes read as 0.0, so their diff^2 is finite
-      // and +inf + finite keeps the accumulator at +inf.
-      const __m512d p = _mm512_maskz_loadu_pd(tail, row + 8 * full);
-      const __m512d diff = _mm512_sub_pd(vq, p);
-      acc[full] = _mm512_add_pd(acc[full], _mm512_mul_pd(diff, diff));
-    }
-    if (abandon_probe_due(d, dim)) {
-      __m512d m = acc[0];
-      for (size_t g = 1; g < groups; ++g) m = _mm512_min_pd(m, acc[g]);
-      if (_mm512_cmp_pd_mask(m, veps, _CMP_LE_OQ) == 0) {
-        return 0;
-      }
-    }
-  }
-  std::uint32_t mask = 0;
-  for (size_t g = 0; g < groups; ++g) {
-    mask |= static_cast<std::uint32_t>(
-                _mm512_cmp_pd_mask(acc[g], veps, _CMP_LE_OQ))
-            << (8 * g);
-  }
-  return mask;
 }
 
 }  // namespace
+
+void strip_avx512(const float* qs, size_t nq, size_t dim, float sure_le,
+                  float maybe_le, const float* block, std::uint32_t active,
+                  StripMasks* out) {
+  switch (nq) {
+    case 1:
+      strip_tile_avx512<1>(qs, dim, sure_le, maybe_le, block, active, out);
+      break;
+    case 2:
+      strip_tile_avx512<2>(qs, dim, sure_le, maybe_le, block, active, out);
+      break;
+    case 3:
+      strip_tile_avx512<3>(qs, dim, sure_le, maybe_le, block, active, out);
+      break;
+    default:
+      strip_tile_avx512<4>(qs, dim, sure_le, maybe_le, block, active, out);
+      break;
+  }
+}
 
 std::uint32_t box_avx512(const double* qs, size_t dim, double eps2,
                          const double* box, std::uint32_t active) {
@@ -172,12 +154,6 @@ std::uint32_t box_avx512(const double* qs, size_t dim, double eps2,
   mask |= static_cast<std::uint32_t>(_mm512_cmp_pd_mask(a3, veps, _CMP_LE_OQ))
           << 24;
   return mask;
-}
-
-std::uint32_t strip_avx512(const double* q, size_t dim, double eps2,
-                           const double* lanes, size_t count) {
-  if (count == kDistanceStrip) return strip_avx512_full(q, dim, eps2, lanes);
-  return strip_avx512_partial(q, dim, eps2, lanes, count);
 }
 
 }  // namespace sdb::simd::detail

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <thread>
@@ -126,17 +127,38 @@ u64 fold_tallies(std::vector<ChunkTally>& tally, KnnGraphBuildStats& stats) {
   return updates;
 }
 
-/// Exact rows: brute-force strip scan per point with the kNN heap-cutoff
-/// kernel filter (the kd-tree leaf idiom — see KdTree::knn_query). One
-/// distance_eval per candidate row examined (n-1 per point: self excluded).
+/// Kernel filter of one block of `count` candidate rows (ids from `id(l)`)
+/// against a full row's worst d2 `tau`. Each row is transposed as
+/// float(p - q) — the query-relative form of DESIGN.md §14, whose slack has
+/// no extent term — into `strip`, and the kernel scans it with the zero
+/// query `origin`. Returns the maybe lanes: a superset of the rows whose
+/// double d2 is <= tau (every row when the thresholds are unusable), which
+/// the caller rechecks.
+template <typename IdFn>
+u32 filter_block(simd::StripKernelFn kernel, const PointSet& points,
+                 std::span<const double> q, double tau, size_t count,
+                 IdFn&& id, float* strip, const float* origin) {
+  const u32 all = strip_lanes(0, count);
+  const simd::StripThresholds th =
+      simd::StripSlack(tau, q.size()).at(0.0);
+  if (!th.usable) return all;
+  for (size_t l = 0; l < count; ++l) {
+    strip_relative(points[id(l)], q.data(), strip + l, kDistanceStrip);
+  }
+  simd::StripMasks m;
+  kernel(origin, 1, q.size(), th.sure_le, th.maybe_le, strip, all, &m);
+  return m.maybe;
+}
+
+/// Exact rows: brute-force scan per point in blocks of kDistanceStrip
+/// rows, filtered by the kernel against the row's worst d2 once the row is
+/// full (the kd-tree knn idiom — see KdTree::knn_query). One distance_eval
+/// per candidate row examined (n-1 per point: self excluded); exact_evals
+/// counts the candidates offered to the row with their double d2.
 void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
                  KnnGraph& graph, KnnGraphBuildStats& stats) {
   const size_t n = points.size();
   const size_t dim = static_cast<size_t>(points.dim());
-  std::vector<double> strips(strip_padded_len(n, dim), 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    strip_store_row(strips.data(), i, points[static_cast<PointId>(i)]);
-  }
   const simd::StripKernelFn kernel = simd::detail::strip_kernel();
   const unsigned threads = resolve_threads(cfg.threads, n);
 
@@ -144,35 +166,32 @@ void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
   parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
     RowHeap row;
     u64 exact = 0;
+    std::vector<float> strip(kDistanceStrip * dim, 0.0f);
+    const std::vector<float> origin(dim, 0.0f);
     for (size_t p = begin; p < end; ++p) {
       const std::span<const double> q = points[static_cast<PointId>(p)];
       row.cap = cfg.k;
-      for (size_t i = 0; i < n;) {
-        const size_t m = std::min(kDistanceStrip, n - i);
-        if (row.full() && std::isfinite(row.worst())) {
-          const double cutoff = row.worst();
-          u32 mask = kernel(q.data(), dim, cutoff,
-                            strips.data() + (i / kDistanceStrip) *
-                                (kDistanceStrip * dim),
-                            m);
-          while (mask != 0) {
-            const u32 j = static_cast<u32>(std::countr_zero(mask));
-            const auto id = static_cast<PointId>(i + j);
-            if (id != static_cast<PointId>(p)) {
-              row.offer(squared_distance_uncounted(q, points[id]), id);
-              ++exact;
-            }
-            mask &= mask - 1;
-          }
-        } else {
-          for (size_t j = 0; j < m; ++j) {
-            const auto id = static_cast<PointId>(i + j);
-            if (id == static_cast<PointId>(p)) continue;
-            row.offer(squared_distance_uncounted(q, points[id]), id);
-            ++exact;
-          }
+      for (size_t base = 0; base < n; base += kDistanceStrip) {
+        const size_t m = std::min(kDistanceStrip, n - base);
+        // A full row only admits rows with d2 <= its (finite) worst: the
+        // kernel's maybe lanes hold all of them, the recheck drops the rest.
+        const bool full = row.full() && std::isfinite(row.worst());
+        const double tau = full ? row.worst() : 0.0;
+        u32 mask = full ? filter_block(
+                              kernel, points, q, tau, m,
+                              [&](size_t l) {
+                                return static_cast<PointId>(base + l);
+                              },
+                              strip.data(), origin.data())
+                        : strip_lanes(0, m);
+        for (; mask != 0; mask &= mask - 1) {
+          const auto id = static_cast<PointId>(base + std::countr_zero(mask));
+          if (id == static_cast<PointId>(p)) continue;
+          const double d2 = squared_distance_uncounted(q, points[id]);
+          if (full && !(d2 <= tau)) continue;
+          row.offer(d2, id);
+          ++exact;
         }
-        i += m;
       }
       row.drain(graph.mutable_row_ids(static_cast<PointId>(p)),
                 graph.mutable_row_d2(static_cast<PointId>(p)));
@@ -385,9 +404,10 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
       std::vector<std::pair<PointId, unsigned char>> bucket;
       CandidateSet candidates(n);
       // One join block: queued candidate ids and their rows transposed
-      // into one strip for the kernel.
+      // (relative to the query row) into one strip for the kernel.
       std::array<PointId, kDistanceStrip> block{};
-      std::vector<double> strip(kDistanceStrip * dim, 0.0);
+      std::vector<float> strip(kDistanceStrip * dim, 0.0f);
+      const std::vector<float> origin(dim, 0.0f);
       for (size_t t = begin; t < end; ++t) {
         const auto tid = static_cast<PointId>(t);
         bucket.clear();
@@ -432,25 +452,26 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
         // Evaluate the queued block. A full row filters it through the
         // strip kernel with its worst d2 at block start as the cutoff: the
         // row only improves while the block is applied, so every candidate
-        // row_insert could accept is in the mask. Survivors get the exact
-        // distance (bit-identical to the kernel's lane sums) and meet
-        // row_insert's worst-slot check against the row as it is now.
+        // row_insert could accept has a double d2 <= that cutoff and is in
+        // the kernel's maybe mask. Survivors get the exact distance; those
+        // above the cutoff are dropped uncounted (row_insert would reject
+        // them), the rest meet row_insert's worst-slot check against the
+        // row as it is now.
         const auto flush = [&] {
-          u32 mask = static_cast<u32>((u64{1} << queued) - 1);
-          if (ids[k - 1] != kNoNeighbor) {
-            for (size_t l = 0; l < queued; ++l) {
-              strip_store_row(strip.data(), l, points[block[l]]);
-            }
-            mask = kernel(q.data(), dim, d2s[k - 1], strip.data(), queued);
-          }
+          const bool full = ids[k - 1] != kNoNeighbor;
+          const double tau = full ? d2s[k - 1] : 0.0;
+          u32 mask = full ? filter_block(
+                                kernel, points, q, tau, queued,
+                                [&](size_t l) { return block[l]; },
+                                strip.data(), origin.data())
+                          : strip_lanes(0, queued);
           for (; mask != 0; mask &= mask - 1) {
             const PointId c =
                 block[static_cast<size_t>(std::countr_zero(mask))];
+            const double d2 = squared_distance_uncounted(q, points[c]);
+            if (full && !(d2 <= tau)) continue;
             ++tl.exact;
-            if (row_insert(ids, d2s, flags, k,
-                           squared_distance_uncounted(q, points[c]), c)) {
-              ++tl.updates;
-            }
+            if (row_insert(ids, d2s, flags, k, d2, c)) ++tl.updates;
           }
           queued = 0;
         };

@@ -1,10 +1,11 @@
 // Naive O(n) per query index — the paper's "O(n^2) linear search" baseline.
 //
-// Exact scans stream the same strip-transposed (SoA) layout and runtime-
-// dispatched SIMD kernel as the kd-tree leaf scan (see distance_simd.hpp):
-// the constructor keeps a strip-transposed copy of the coordinates, built
-// once, so every query is one long run of vertical-reduction blocks with no
-// id indirection at all.
+// Exact scans stream the same strip-transposed (SoA) float layout and
+// runtime-dispatched SIMD kernel as the kd-tree leaf scan (see
+// distance_simd.hpp): the constructor keeps a float copy of the coordinates
+// relative to the centre of the data's box, built once, so every query is
+// one long run of vertical-reduction blocks with no id indirection; the
+// kernel's undecided lanes are rechecked on the double rows.
 #pragma once
 
 #include <vector>
@@ -41,14 +42,16 @@ class BruteForceIndex final : public SpatialIndex {
     return points_;
   }
   [[nodiscard]] u64 byte_size() const override {
-    return points_.byte_size() + strips_.size() * sizeof(double);
+    return points_.byte_size() + strips_.size() * sizeof(float);
   }
   [[nodiscard]] const char* name() const override { return "brute-force"; }
 
  private:
   const PointSet& points_;
-  std::vector<double> strips_;  // strip-transposed coords in id order,
-                                // padded to whole blocks (padding zeroed)
+  std::vector<float> strips_;  // strip-transposed coords in id order,
+                               // padded to whole blocks (padding zeroed)
+  std::vector<double> centre_;  // the strip origin: the data box's centre
+  double half_extent_ = 0.0;    // ||half extent|| of that box (the slack's H)
 };
 
 }  // namespace sdb

@@ -21,14 +21,29 @@ namespace sdb {
 
 namespace {
 
-/// Dimension cap for the fused leaf scatter+box pass's stack accumulators;
-/// wider points take the strip export plus the plain per-row box loop.
-constexpr int kMaxFusedDim = 64;
+/// Dimension cap for the stack scratch of the box pass and the per-query
+/// paths; wider points take heap scratch.
+constexpr int kStackDim = 64;
 /// Below this many points a build is sequential regardless of the thread
 /// option: thread-spawn plus task overhead would dominate.
 constexpr u32 kParallelBuildThreshold = 1u << 14;
 /// Cap on auto-detected build threads.
 constexpr unsigned kMaxBuildThreads = 16;
+
+/// Per-query scratch of `n` values: on the stack up to N, on the heap
+/// beyond (only very wide points), so the per-query paths allocate nothing.
+template <typename T, size_t N>
+class SmallBuf {
+ public:
+  explicit SmallBuf(size_t n) {
+    if (n > N) heap_.resize(n);
+  }
+  [[nodiscard]] T* data() { return heap_.empty() ? local_ : heap_.data(); }
+
+ private:
+  T local_[N];
+  std::vector<T> heap_;
+};
 
 }  // namespace
 
@@ -121,7 +136,7 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
   // overwrite every live lane); only the final block's padding lanes need
   // zeros so vector loads never read uninitialized memory.
   leaf_coords_len_ = strip_padded_len(n, dim);
-  leaf_coords_ = std::make_unique_for_overwrite<double[]>(leaf_coords_len_);
+  leaf_coords_ = std::make_unique_for_overwrite<float[]>(leaf_coords_len_);
 #if defined(__linux__)
   // The buffer is large, written exactly once (by the leaf scatters), and
   // freshly mmapped by the allocator at this size — so at 4KiB pages the
@@ -134,7 +149,7 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
         (reinterpret_cast<uintptr_t>(leaf_coords_.get()) + page - 1) &
         ~(page - 1);
     const auto hi = (reinterpret_cast<uintptr_t>(leaf_coords_.get()) +
-                     leaf_coords_len_ * sizeof(double)) &
+                     leaf_coords_len_ * sizeof(float)) &
                     ~(page - 1);
     if (hi > lo) {
       (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
@@ -143,7 +158,7 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
 #endif
   const size_t live = ((n - 1) / kDistanceStrip) * kDistanceStrip * dim;
   std::fill(leaf_coords_.get() + live, leaf_coords_.get() + leaf_coords_len_,
-            0.0);
+            0.0f);
 
   unsigned threads = options.build_threads;
   if (threads == 0) {
@@ -178,16 +193,20 @@ KdTree::KdTree(const PointSet& points, const KdTreeOptions& options)
   boxes_.shrink_to_fit();
 }
 
-/// Scatter rows [begin, end) of the id permutation into the strip buffer.
-/// Row-major reads (each row contiguous), lane-strided writes that stay
-/// inside the leaf's few L1-resident strip blocks. Non-temporal stores were
-/// measured here and lost: on this class of host plain stores win at both
-/// 100k and 1m points (partial-line NT writes cost more than the RFO they
-/// save, and the staged-tile variant pays an extra copy).
-void KdTree::export_leaf_strips(u32 begin, u32 end) {
-  double* strips = leaf_coords_.get();
+/// Scatter rows [begin, end) of the id permutation into the strip buffer,
+/// relative to the centre of the leaf's box `box`. Row-major reads (each
+/// row contiguous, and L1/L2-resident after the box pass), lane-strided
+/// writes that stay inside the leaf's few strip blocks. Non-temporal stores
+/// were measured here and lost: on this class of host plain stores win at
+/// both 100k and 1m points (partial-line NT writes cost more than the RFO
+/// they save).
+void KdTree::export_leaf_strips(u32 begin, u32 end, const double* box) {
+  const size_t dim = static_cast<size_t>(points_.dim());
+  SmallBuf<double, kStackDim> centre(dim);
+  box_centre(box, dim, centre.data());
+  float* strips = leaf_coords_.get();
   for (u32 i = begin; i < end; ++i) {
-    strip_store_row(strips, i, points_[ids_[i]]);
+    strip_store_row(strips, i, points_[ids_[i]], centre.data());
   }
 }
 
@@ -202,64 +221,34 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
   node.box = static_cast<u32>(idx) * 2 * static_cast<u32>(dim);
 
   // Tight bounding box over [begin, end), interleaved [lo, hi] per dim.
+  // STACK-LOCAL min/max accumulators (up to kStackDim dims): locals
+  // provably don't alias the coordinate loads, so they live in
+  // registers/L1 instead of a load-modify-store chain on b.
   double* b = boxes_.data() + node.box;
+  SmallBuf<double, kStackDim> lo(static_cast<size_t>(dim));
+  SmallBuf<double, kStackDim> hi(static_cast<size_t>(dim));
   for (int d = 0; d < dim; ++d) {
-    b[2 * d] = std::numeric_limits<double>::infinity();
-    b[2 * d + 1] = -std::numeric_limits<double>::infinity();
+    lo.data()[d] = std::numeric_limits<double>::infinity();
+    hi.data()[d] = -std::numeric_limits<double>::infinity();
   }
-
-  if (end - begin <= static_cast<u32>(leaf_size_)) {
-    // Size-bounded leaf: scatter the rows into the strip-transposed buffer
-    // in place (no build-then-copy), fused with the bounding-box reduction
-    // in a single pass over the rows.
-    if (dim <= kMaxFusedDim) {
-      // STACK-LOCAL min/max accumulators: locals provably don't alias the
-      // lane stores, so the accumulators live in registers/L1 instead of
-      // the load-modify-store chain on b that the per-row loop below pays
-      // per element (b could alias the coordinate loads as far as the
-      // compiler can prove).
-      double lo[kMaxFusedDim], hi[kMaxFusedDim];
-      for (int d = 0; d < dim; ++d) {
-        lo[d] = std::numeric_limits<double>::infinity();
-        hi[d] = -std::numeric_limits<double>::infinity();
-      }
-      double* strips = leaf_coords_.get();
-      for (u32 i = begin; i < end; ++i) {
-        const auto p = points_[ids_[i]];
-        double* lane = strip_lane(strips, i, static_cast<size_t>(dim));
-        for (int d = 0; d < dim; ++d) {
-          const double v = p[d];
-          lane[static_cast<size_t>(d) * kDistanceStrip] = v;
-          lo[d] = std::min(lo[d], v);
-          hi[d] = std::max(hi[d], v);
-        }
-      }
-      for (int d = 0; d < dim; ++d) {
-        b[2 * d] = lo[d];
-        b[2 * d + 1] = hi[d];
-      }
-    } else {
-      // A dimensionality too wide for the stack accumulators (rare): the
-      // strip export plus a plain per-row box update.
-      export_leaf_strips(begin, end);
-      for (u32 i = begin; i < end; ++i) {
-        const auto p = points_[ids_[i]];
-        for (int d = 0; d < dim; ++d) {
-          b[2 * d] = std::min(b[2 * d], p[d]);
-          b[2 * d + 1] = std::max(b[2 * d + 1], p[d]);
-        }
-      }
-    }
-    nodes_[static_cast<size_t>(idx)] = node;
-    return;
-  }
-
   for (u32 i = begin; i < end; ++i) {
     const auto p = points_[ids_[i]];
     for (int d = 0; d < dim; ++d) {
-      b[2 * d] = std::min(b[2 * d], p[d]);
-      b[2 * d + 1] = std::max(b[2 * d + 1], p[d]);
+      lo.data()[d] = std::min(lo.data()[d], p[d]);
+      hi.data()[d] = std::max(hi.data()[d], p[d]);
     }
+  }
+  for (int d = 0; d < dim; ++d) {
+    b[2 * d] = lo.data()[d];
+    b[2 * d + 1] = hi.data()[d];
+  }
+
+  if (end - begin <= static_cast<u32>(leaf_size_)) {
+    // Size-bounded leaf: its rows into the strip buffer relative to the
+    // box centre (rows the box pass just brought into cache).
+    export_leaf_strips(begin, end, b);
+    nodes_[static_cast<size_t>(idx)] = node;
+    return;
   }
 
   // Split on the dimension of largest spread at the median.
@@ -276,7 +265,7 @@ void KdTree::build_range(i32 idx, u32 begin, u32 end, int depth,
   // Degenerate spread (all coordinates equal): keep as leaf to guarantee
   // termination.
   if (best_spread <= 0.0) {
-    export_leaf_strips(begin, end);
+    export_leaf_strips(begin, end, b);
     nodes_[static_cast<size_t>(idx)] = node;
     return;
   }
@@ -343,7 +332,13 @@ void KdTree::range_query_budgeted(std::span<const double> q, double eps,
                                   const QueryBudget& budget,
                                   std::vector<PointId>& out) const {
   if (root_ < 0) return;
-  QueryState st{eps * eps, &budget, &out};
+  const size_t dim = static_cast<size_t>(points_.dim());
+  QueryState st{eps * eps, &budget, &out,
+                simd::StripSlack(eps * eps, dim)};
+  SmallBuf<double, kStackDim> centre(dim);
+  SmallBuf<float, kStackDim> qf(dim);
+  st.centre = centre.data();
+  st.qf = qf.data();
   st.kernel = simd::detail::strip_kernel();
   run_query(q, st);
   // One thread-local flush per query instead of one per node/evaluation;
@@ -359,7 +354,7 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
   // far-children on the stack) is bounded by ~log2(n) + 1; 64 covers any
   // 32-bit point count with a wide margin.
   const size_t dim = static_cast<size_t>(points_.dim());
-  const double* strips = leaf_coords_.get();
+  const float* strips = leaf_coords_.get();
   i32 stack[kQueryStackCap];  // depth_ + 1 <= cap, checked at build
   int top = 0;
   stack[top++] = root_;
@@ -384,47 +379,52 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
       continue;
     }
 
+    // Leaf: the query relative to the leaf's box centre, the slack for the
+    // leaf's half-extent, then its strip blocks through the kernel with the
+    // undecided lanes rechecked on the double rows (strip_block_mask).
+    const simd::StripThresholds th =
+        st.slack.at(box_centre(boxes_.data() + node.box, dim, st.centre));
+    if (th.usable) strip_relative(q, st.centre, st.qf, 1);
+    const auto block_mask = [&](size_t base, u32 active) {
+      return strip_block_mask(
+          st.kernel, th, st.qf, q, st.eps2, strip_block(strips, base, dim),
+          active, [&](int j) { return row(static_cast<u32>(base) + j); });
+    };
     if (st.budget->max_neighbors != 0) {
-      // Neighbor-budgeted leaf scan through the strip kernel: the mask walk
-      // reconstructs the exact stop row and distance_evals charge of a
-      // row-at-a-time scalar loop (see strip_scan_budgeted), so wide
-      // vector-era leaves don't degrade the paper's pruned 1M-point mode to
-      // per-row scalar evaluation.
+      // Neighbor-budgeted leaf scan: the mask walk reconstructs the exact
+      // stop row and distance_evals charge of a row-at-a-time scalar loop
+      // (see strip_scan_budgeted), so wide vector-era leaves don't degrade
+      // the paper's pruned 1M-point mode to per-row scalar evaluation.
       const bool stop = strip_scan_budgeted(
-          st.kernel, q, st.eps2, strips, node.begin, node.end,
-          st.budget->max_neighbors, st.found, st.distance_evals,
+          node.begin, node.end, st.budget->max_neighbors, st.found,
+          st.distance_evals, block_mask,
           [&](size_t pos) { st.out->push_back(ids_[pos]); });
       if (stop) return;
       continue;
     }
-    // Stream the strip-transposed blocks through the dispatched SIMD kernel
-    // and walk the returned eps-decision mask. A leaf may enter its first
-    // block at any lane offset; segments never cross a block boundary.
-    // Ascending bit order is ascending position, so candidates come out in
-    // ids_ order. The distance_evals tally charges one evaluation per
-    // candidate row — the kernel's internal partial-distance abandonment is
-    // an implementation detail of the evaluation, like box_distance2's
-    // monotone early exit, and never shows up in the counters.
+    // Walk the leaf block by block; a leaf may enter its first block and
+    // leave its last one at any lane. Ascending bit order is ascending
+    // position, so candidates come out in ids_ order. The distance_evals
+    // tally charges one evaluation per candidate row — the kernel's
+    // abandonment and the recheck are implementation details of the
+    // evaluation, like box_distance2's monotone early exit, and never show
+    // up in the counters.
     st.distance_evals += node.end - node.begin;
     for (u32 i = node.begin; i < node.end;) {
-      const u32 lane = i % static_cast<u32>(kDistanceStrip);
-      const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                  node.end - i);
-      if (i + m < node.end) {
-        // Start the next segment's first dimension rows toward L1 while the
-        // kernel chews this one; a leaf spans several strip blocks and the
-        // blocks are not adjacent in memory.
-        __builtin_prefetch(strip_lane(strips, i + m, dim));
-        __builtin_prefetch(strip_lane(strips, i + m, dim) + 8);
+      const u32 base = i - i % static_cast<u32>(kDistanceStrip);
+      const u32 stop =
+          std::min(base + static_cast<u32>(kDistanceStrip), node.end);
+      if (stop < node.end) {
+        // Start the next block's first dimension row toward L1 while the
+        // kernel chews this one.
+        __builtin_prefetch(strip_block(strips, stop, dim));
+        __builtin_prefetch(strip_block(strips, stop, dim) + 16);
       }
-      u32 mask =
-          st.kernel(q.data(), dim, st.eps2, strip_lane(strips, i, dim), m);
-      while (mask != 0) {
-        const u32 j = static_cast<u32>(std::countr_zero(mask));
-        st.out->push_back(ids_[i + j]);
-        mask &= mask - 1;
+      for (u32 mask = block_mask(base, strip_lanes(i - base, stop - base));
+           mask != 0; mask &= mask - 1) {
+        st.out->push_back(ids_[base + std::countr_zero(mask)]);
       }
-      i += m;
+      i = stop;
     }
   }
 }
@@ -432,7 +432,12 @@ void KdTree::run_query(std::span<const double> q, QueryState& st) const {
 /// Working state of one block of range_query_batch: up to kDistanceStrip
 /// queries walking the tree together.
 struct KdTree::BlockState {
-  double eps2 = 0.0;
+  explicit BlockState(double eps, size_t dim)
+      : eps2(eps * eps), slack(eps2, dim), qs(kDistanceStrip * dim, 0.0),
+        centre(dim), qf(kStripTile * dim) {}
+
+  double eps2;
+  simd::StripSlack slack;
   u32 count = 0;  ///< live lanes, [1, kDistanceStrip]
   /// The block's query coordinates, dimension-major (the box kernel's
   /// operand); lanes >= count repeat lane 0 so every lane stays finite.
@@ -440,6 +445,8 @@ struct KdTree::BlockState {
   std::array<const double*, kDistanceStrip> rows{};  ///< each lane's row
   /// Per lane: hits as (path key, strip position).
   std::array<std::vector<std::pair<u64, u32>>, kDistanceStrip> hits;
+  std::vector<double> centre;  ///< the current leaf's box centre
+  std::vector<float> qf;       ///< one tile's query rows relative to it
   simd::StripKernelFn strip = nullptr;
   simd::BoxKernelFn box = nullptr;
   u64 nodes_visited = 0;
@@ -455,7 +462,7 @@ void KdTree::run_block(BlockState& st) const {
   // the edge out of depth t leads to the lane's far side, so sorting a
   // lane's hits by (key, position) reproduces run_query's output order.
   const size_t dim = static_cast<size_t>(points_.dim());
-  const double* strips = leaf_coords_.get();
+  const float* strips = leaf_coords_.get();
   struct Frame {
     i32 node;
     u32 lanes;  ///< lanes that visit the node
@@ -491,30 +498,54 @@ void KdTree::run_block(BlockState& st) const {
       continue;
     }
 
-    // Leaf: every passing lane scans it through the strip kernel while its
-    // blocks are hot in L1.
+    // Leaf: the passing lanes scan it in tiles of up to kStripTile queries,
+    // so each strip row the kernel loads serves a whole tile while the
+    // leaf's blocks are hot in L1.
     st.distance_evals +=
         static_cast<u64>(node.end - node.begin) * std::popcount(pass);
-    for (u32 lanes = pass; lanes != 0; lanes &= lanes - 1) {
-      const auto j = static_cast<u32>(std::countr_zero(lanes));
-      u64 key = 0;
-      bool keyed = false;
+    const simd::StripThresholds th = st.slack.at(
+        box_centre(boxes_.data() + node.box, dim, st.centre.data()));
+    for (u32 lanes = pass; lanes != 0;) {
+      u32 tile[kStripTile];
+      size_t nq = 0;
+      for (; lanes != 0 && nq < kStripTile; lanes &= lanes - 1) {
+        tile[nq] = static_cast<u32>(std::countr_zero(lanes));
+        if (th.usable) {
+          strip_relative({st.rows[tile[nq]], dim}, st.centre.data(),
+                         st.qf.data() + nq * dim, 1);
+        }
+        ++nq;
+      }
+      u64 key[kStripTile] = {};
+      bool keyed[kStripTile] = {};
       for (u32 i = node.begin; i < node.end;) {
-        const u32 lane = i % static_cast<u32>(kDistanceStrip);
-        const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                    node.end - i);
-        u32 mask =
-            st.strip(st.rows[j], dim, st.eps2, strip_lane(strips, i, dim), m);
-        if (mask != 0 && !keyed) {
-          for (i32 t = 0; t < f.depth; ++t) {
-            key |= static_cast<u64>((path[t] >> j) & 1) << (63 - t);
+        const u32 base = i - i % static_cast<u32>(kDistanceStrip);
+        const u32 stop =
+            std::min(base + static_cast<u32>(kDistanceStrip), node.end);
+        const u32 active = strip_lanes(i - base, stop - base);
+        simd::StripMasks masks[kStripTile];
+        if (th.usable) {
+          st.strip(st.qf.data(), nq, dim, th.sure_le, th.maybe_le,
+                   strip_block(strips, base, dim), active, masks);
+        } else {
+          for (size_t t = 0; t < nq; ++t) masks[t] = {0, active};
+        }
+        for (size_t t = 0; t < nq; ++t) {
+          const u32 j = tile[t];
+          u32 mask = strip_recheck(
+              masks[t], {st.rows[j], dim}, st.eps2,
+              [&](int l) { return row(base + static_cast<u32>(l)); });
+          if (mask != 0 && !keyed[t]) {
+            for (i32 d = 0; d < f.depth; ++d) {
+              key[t] |= static_cast<u64>((path[d] >> j) & 1) << (63 - d);
+            }
+            keyed[t] = true;
           }
-          keyed = true;
+          for (; mask != 0; mask &= mask - 1) {
+            st.hits[j].emplace_back(key[t], base + std::countr_zero(mask));
+          }
         }
-        for (; mask != 0; mask &= mask - 1) {
-          st.hits[j].emplace_back(key, i + std::countr_zero(mask));
-        }
-        i += m;
+        i = stop;
       }
     }
   }
@@ -560,9 +591,7 @@ void KdTree::range_query_batch(std::span<const PointId> queries, double eps,
     for (; it != by_id.end() && queries[*it] == id; ++it) order.push_back(*it);
   }
 
-  BlockState st;
-  st.eps2 = eps * eps;
-  st.qs.assign(kDistanceStrip * dim, 0.0);
+  BlockState st(eps, dim);
   st.strip = simd::detail::strip_kernel();
   st.box = simd::detail::box_kernel();
   std::vector<u32> found;  // hit positions, lists in tree order
@@ -615,8 +644,11 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
   // Iterative best-first would be faster; recursive depth-first with heap
   // pruning is simpler and the call sites (examples, tests, the exact kNN
   // graph builder's oracle) are small.
-  const double* strips = leaf_coords_.get();
+  const size_t dim = static_cast<size_t>(points_.dim());
+  const float* strips = leaf_coords_.get();
   const simd::StripKernelFn kernel = simd::detail::strip_kernel();
+  SmallBuf<double, kStackDim> centre(dim);
+  SmallBuf<float, kStackDim> qf(dim);
   auto visit = [&](auto&& self, i32 node_id) -> void {
     // Node budget: stop descending once the cap is reached (max_neighbors
     // is ignored for kNN — see the contract in spatial_index.hpp).
@@ -631,47 +663,50 @@ void KdTree::knn_query(std::span<const double> q, size_t k,
       return;
     }
     if (node.is_leaf()) {
-      // The kernel contract requires a finite eps^2; a heap of overflowed
-      // (inf) distances — possible with ~1e154-magnitude coordinates —
-      // falls back to the scalar loop.
-      if (heap.size() == k && std::isfinite(heap.top().first)) {
+      if (heap.size() == k) {
         // Kernel-filtered leaf scan: with the heap full, a row can only
         // matter if (d2, id) < heap.top(), which requires d2 <= top.d2 —
-        // and top.d2 never increases — so the kernel mask at cutoff =
-        // top.d2-at-leaf-entry (its <= keeps the d2 == cutoff rows the
-        // id tie-break may still admit) is a superset of every row a
-        // scalar loop would insert. Survivors get the exact distance from
-        // the same unfused scalar accumulation, so the heap evolves exactly
-        // as under the scalar loop below; rows the filter drops satisfy
-        // d2 > cutoff >= top.d2-current and were no-ops anyway. Charged one
-        // eval per row, exactly like the scalar loop.
+        // and top.d2 never increases — so the kernel's maybe mask at
+        // cutoff = top.d2-at-leaf-entry is a superset of every row a
+        // scalar loop would insert (with unusable thresholds, e.g. an
+        // overflowed inf cutoff, every row passes). Survivors get the
+        // exact distance from the unfused scalar accumulation, so the heap
+        // evolves exactly as under the scalar loop below; rows the filter
+        // drops satisfy d2 > cutoff >= top.d2-current and were no-ops
+        // anyway. Charged one eval per row, exactly like the scalar loop.
         evals += node.end - node.begin;
         const double cutoff = heap.top().first;
+        // The recheck keeps rows with d2 <= cutoff, the rows the double
+        // filter kept; an overflowed (inf) cutoff keeps every row, as the
+        // scalar loop does.
+        const bool finite = std::isfinite(cutoff);
+        const simd::StripThresholds th = simd::StripSlack(cutoff, dim).at(
+            box_centre(boxes_.data() + node.box, dim, centre.data()));
+        if (th.usable) strip_relative(q, centre.data(), qf.data(), 1);
         for (u32 i = node.begin; i < node.end;) {
-          const u32 lane = i % static_cast<u32>(kDistanceStrip);
-          const u32 m = std::min<u32>(static_cast<u32>(kDistanceStrip) - lane,
-                                      node.end - i);
-          u32 mask = kernel(q.data(), static_cast<size_t>(points_.dim()),
-                            cutoff, strip_lane(strips, i,
-                                               static_cast<size_t>(
-                                                   points_.dim())),
-                            m);
-          while (mask != 0) {
-            const u32 j = static_cast<u32>(std::countr_zero(mask));
-            const Entry cand{squared_distance_uncounted(q, row(i + j)),
-                             ids_[i + j]};
+          const u32 base = i - i % static_cast<u32>(kDistanceStrip);
+          const u32 stop =
+              std::min(base + static_cast<u32>(kDistanceStrip), node.end);
+          simd::StripMasks m{0, strip_lanes(i - base, stop - base)};
+          if (th.usable) {
+            kernel(qf.data(), 1, dim, th.sure_le, th.maybe_le,
+                   strip_block(strips, base, dim), m.maybe, &m);
+          }
+          for (u32 mask = m.maybe; mask != 0; mask &= mask - 1) {
+            const u32 pos = base + static_cast<u32>(std::countr_zero(mask));
+            const Entry cand{squared_distance_uncounted(q, row(pos)),
+                             ids_[pos]};
+            if (finite && !(cand.first <= cutoff)) continue;
             if (cand < heap.top()) {
               heap.pop();
               heap.push(cand);
             }
-            mask &= mask - 1;
           }
-          i += m;
+          i = stop;
         }
         return;
       }
-      // Scalar leaf scan while the heap is filling (the first leaves), or
-      // once its k-th distance has overflowed to inf.
+      // Scalar leaf scan while the heap is filling (the first leaves).
       for (u32 i = node.begin; i < node.end; ++i) {
         ++evals;
         const Entry cand{squared_distance_uncounted(q, row(i)), ids_[i]};
@@ -713,7 +748,7 @@ std::vector<PointId> KdTree::knn(std::span<const double> q, size_t k) const {
 u64 KdTree::byte_size() const {
   return points_.byte_size() + ids_.size() * sizeof(PointId) +
          nodes_.size() * sizeof(Node) + boxes_.size() * sizeof(double) +
-         leaf_coords_len_ * sizeof(double);
+         leaf_coords_len_ * sizeof(float);
 }
 
 }  // namespace sdb

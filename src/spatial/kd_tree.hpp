@@ -9,13 +9,14 @@
 // structure to a sequential build. Sequential builds (build_threads <= 1,
 // or below the size threshold) skip the parallel machinery entirely —
 // plain slot counters, no atomics, no pool.
-// Layout: the tree keeps a strip-transposed (SoA) copy of the coordinates in
-// leaf-traversal order — blocks of kDistanceStrip points stored
-// dimension-major (see distance_simd.hpp) — filled IN PLACE as each leaf is
-// finalized during the build, so the packed layout costs the leaf stores
-// only, not a second full pass. Leaf scans stream the blocks through the
-// runtime-dispatched SIMD strip kernel; ids_ doubles as the remap table
-// back to original PointIds.
+// Layout: the tree keeps a strip-transposed (SoA) float32 copy of the
+// coordinates in leaf-traversal order — blocks of kDistanceStrip points
+// stored dimension-major, each coordinate relative to its leaf's box centre
+// (see distance_simd.hpp) — filled IN PLACE as each leaf is finalized during
+// the build. Leaf scans stream the blocks through the runtime-dispatched
+// SIMD tile kernel and recheck its undecided lanes on the double rows of
+// the PointSet, so every decision is the double loop's; ids_ doubles as
+// the remap table back to original PointIds.
 // Query: classic ball-overlap descent with AABB pruning; an optional
 // QueryBudget implements the paper's "kd-tree with pruning branches"
 // approximation used for the 1M-point experiments (it bounds the neighbor
@@ -27,8 +28,9 @@
 // queries are put in tree order (an n-bit scratch bitmap walked against
 // ids_, so nothing is stored) and answered 32 at a time by one shared
 // descent. A stack frame carries the mask of lanes whose own descent
-// reaches the node; one box-kernel call per node tests them all, and every
-// passing lane scans a leaf while it is hot in L1. Lists, their order
+// reaches the node; one box-kernel call per node tests them all, and the
+// passing lanes scan a leaf in tiles of up to kStripTile queries per strip
+// load while it is hot in L1. Lists, their order
 // (restored from a per-hit far-side path key) and the counters equal the
 // per-query loop's exactly (DESIGN.md §14).
 #pragma once
@@ -60,8 +62,10 @@ class ThreadPool;
 class KdTree final : public SpatialIndex {
  public:
   /// Build over all points in `points`. The tree keeps a reference to the
-  /// PointSet and a strip-transposed coordinate snapshot (one extra
-  /// ~n*dim*8-byte buffer, reflected in byte_size()); the caller must keep
+  /// PointSet and a strip-transposed float coordinate snapshot (one extra
+  /// ~n*dim*4-byte buffer, reflected in byte_size(); leaf scans recheck on
+  /// the PointSet's double rows, so both travel with the tree when it is
+  /// broadcast); the caller must keep
   /// the PointSet alive and unmutated for the tree's lifetime — post-build
   /// mutations would not be reflected in the packed layout, the split
   /// structure, or the bounding boxes.
@@ -102,6 +106,9 @@ class KdTree final : public SpatialIndex {
   [[nodiscard]] const PointSet& indexed_points() const override {
     return points_;
   }
+  /// The broadcast size: the PointSet (the recheck's double rows), ids,
+  /// nodes, boxes and the float strip buffer (4 bytes per coordinate; leaf
+  /// centres are derived from boxes_, so they cost nothing).
   [[nodiscard]] u64 byte_size() const override;
   [[nodiscard]] const char* name() const override { return "kd-tree"; }
 
@@ -128,11 +135,9 @@ class KdTree final : public SpatialIndex {
 
   struct BuildCtx;
   void build_range(i32 idx, u32 begin, u32 end, int depth, BuildCtx& ctx);
-  /// Scatter one finalized leaf's rows into the strip-transposed buffer.
-  /// (The common-dimensionality leaf path fuses this scatter with the
-  /// bounding-box reduction inline in build_range; this standalone version
-  /// serves degenerate-spread and very-wide-dimension leaves.)
-  void export_leaf_strips(u32 begin, u32 end);
+  /// Scatter one finalized leaf's rows into the strip-transposed buffer,
+  /// relative to the centre of its box `box` (interleaved [lo, hi]).
+  void export_leaf_strips(u32 begin, u32 end, const double* box);
 
   /// Capacity of run_query's fixed descent stack. Max occupancy is
   /// depth_ + 1 (each descent pops one node and pushes its two children),
@@ -147,9 +152,12 @@ class KdTree final : public SpatialIndex {
     double eps2;
     const QueryBudget* budget;
     std::vector<PointId>* out;
+    simd::StripSlack slack;  ///< the eps^2 part of the strip thresholds
     /// Strip kernel fetched once per query (atomic dispatch load hoisted
     /// out of the leaf loop).
     simd::StripKernelFn kernel = nullptr;
+    double* centre = nullptr;  ///< the current leaf's box centre (dim)
+    float* qf = nullptr;       ///< the query relative to it (dim)
     u64 nodes_visited = 0;
     u64 distance_evals = 0;
     u64 found = 0;
@@ -163,9 +171,8 @@ class KdTree final : public SpatialIndex {
   /// One shared descent for a block of up to kDistanceStrip queries.
   void run_block(BlockState& st) const;
 
-  /// Row i of the build permutation: the coordinates of point ids_[i]. The
-  /// strip buffer has no contiguous rows, so scalar consumers (knn) gather
-  /// through the id permutation — the same doubles bit-for-bit.
+  /// Row i of the build permutation: the double coordinates of point
+  /// ids_[i] — what the recheck and the kNN distances are computed on.
   [[nodiscard]] std::span<const double> row(u32 i) const {
     return points_[ids_[i]];
   }
@@ -195,11 +202,12 @@ class KdTree final : public SpatialIndex {
                               // the remap table: position -> original PointId
   std::vector<Node> nodes_;
   std::vector<double> boxes_;  // per node: interleaved [lo, hi] per dim
-  // Strip-transposed leaf-order coordinates (see distance_simd.hpp).
-  // unique_ptr + explicit length instead of a vector so the build can
-  // allocate without a redundant zero-fill (only the final block's padding
-  // lanes need zeroing).
-  std::unique_ptr<double[]> leaf_coords_;
+  // Strip-transposed leaf-order coordinates as float, each relative to its
+  // leaf's box centre (see distance_simd.hpp); the centre is recomputed
+  // from boxes_ when a leaf is scanned. unique_ptr + explicit length
+  // instead of a vector so the build can allocate without a redundant
+  // zero-fill (only the final block's padding lanes need zeroing).
+  std::unique_ptr<float[]> leaf_coords_;
   size_t leaf_coords_len_ = 0;
   i32 root_ = -1;
 };

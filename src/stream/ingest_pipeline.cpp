@@ -114,7 +114,7 @@ void IngestPipeline::batcher_main() {
         }
       }
       lock.lock();
-      maybe_recover_locked(batch_seq_);
+      recover_and_republish(lock, batch_seq_);
       // Re-check emptiness: submits may have landed while unlocked.
       if (queue_.empty()) {
         if (drain_requested_) {
@@ -158,9 +158,9 @@ void IngestPipeline::batcher_main() {
     lock.unlock();
     apply_one_batch(seq, std::move(batch));
     lock.lock();
-    applying_ = false;
     maybe_escalate_locked(seq);
-    maybe_recover_locked(seq);
+    recover_and_republish(lock, seq);
+    applying_ = false;
     cv_drained_.notify_all();
   }
 }
@@ -225,7 +225,10 @@ void IngestPipeline::apply_one_batch(u64 seq, std::vector<Pending> batch) {
       }
     }
   }
-  if (++batches_since_publish_ >= publish_cadence()) {
+  // A micro-epoch that changed nothing (every op an invalid remove) does
+  // not count toward the cadence: publishing would rebuild an identical
+  // model under a new epoch.
+  if (applied_count > 0 && ++batches_since_publish_ >= publish_cadence()) {
     if (SDB_INJECT("stream.publish.delay")) {
       // Skip the due publish: readers keep the stale epoch and the lag
       // watermark grows until the ladder reacts or the plan lifts.
@@ -326,14 +329,28 @@ void IngestPipeline::maybe_escalate_locked(u64 batch_seq) {
   }
 }
 
-void IngestPipeline::maybe_recover_locked(u64 batch_seq) {
+void IngestPipeline::recover_and_republish(std::unique_lock<std::mutex>& lock,
+                                           u64 batch_seq) {
+  if (!maybe_recover_locked(batch_seq)) return;
+  // Leaving kDegraded restored the full core fraction, but the serving
+  // snapshot is still the subsampled one, and an idle pipeline publishes
+  // only trailing lag: publish a full-fraction snapshot now, outside mu_
+  // like every other publish. `applying_` (or the pending drain request)
+  // keeps drain() waiting until it is out.
+  lock.unlock();
+  publish_now();
+  lock.lock();
+}
+
+bool IngestPipeline::maybe_recover_locked(u64 batch_seq) {
+  bool left_degraded = false;
   for (;;) {
     const LadderRung current = rung_.load(std::memory_order_relaxed);
-    if (current == LadderRung::kHealthy) return;
+    if (current == LadderRung::kHealthy) return left_degraded;
     const double pressure = pressure_locked();
     const bool idle =
         queue_.empty() && lag_.load(std::memory_order_relaxed) == 0;
-    if (!idle && pressure > exit_watermark(current)) return;
+    if (!idle && pressure > exit_watermark(current)) return left_degraded;
     const LadderRung next =
         static_cast<LadderRung>(static_cast<u32>(current) - 1);
     switch (current) {
@@ -342,6 +359,7 @@ void IngestPipeline::maybe_recover_locked(u64 batch_seq) {
         break;
       case LadderRung::kDegraded:
         registry_.set_core_sample_fraction(1.0);
+        left_degraded = true;
         break;
       default:
         break;
@@ -350,7 +368,7 @@ void IngestPipeline::maybe_recover_locked(u64 batch_seq) {
     rung_.store(next, std::memory_order_release);
     // One rung per evaluation under load; a fully idle pipeline walks all
     // the way back to healthy.
-    if (!idle) return;
+    if (!idle) return left_degraded;
   }
 }
 

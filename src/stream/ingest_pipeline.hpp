@@ -13,7 +13,9 @@
 // score: max(queue_depth / queue_capacity, unpublished_ops / lag_capacity).
 // Hysteresis watermarks (enter > exit) map pressure onto four rungs:
 //
-//   kHealthy   — exact incremental updates, publish every micro-epoch.
+//   kHealthy   — exact incremental updates, publish every micro-epoch that
+//                applied an op (a micro-epoch of only invalid removes
+//                changes nothing and does not count toward the cadence).
 //   kPressured — coalesce larger micro-epochs (batch cap x
 //                `pressured_batch_factor`), stretch the publish cadence to
 //                every `pressured_publish_every` epochs, and DEFER kd-tree
@@ -34,8 +36,9 @@
 // actions stay consistent); recovery steps down one rung per evaluation —
 // or all the way to kHealthy once the queue is empty and the lag is zero —
 // undoing each rung's knobs on exit (threshold restored, fraction back to
-// 1.0). Every transition increments counters and emits a structured
-// LadderTransition event.
+// 1.0, and a full-fraction snapshot published at once so readers leave the
+// subsampled one even when the pipeline is idle). Every transition
+// increments counters and emits a structured LadderTransition event.
 //
 // Acknowledgements: `on_ack` fires on the batcher thread once per submitted
 // op, in CANONICAL APPLY ORDER (a micro-epoch's inserts in op order, then
@@ -224,7 +227,13 @@ class IngestPipeline {
   /// Jump up to whatever rung pressure demands, one edge at a time.
   void maybe_escalate_locked(u64 batch_seq);
   /// Step down one rung — or all the way to kHealthy when fully idle.
-  void maybe_recover_locked(u64 batch_seq);
+  /// Returns true when it left kDegraded.
+  bool maybe_recover_locked(u64 batch_seq);
+  /// maybe_recover_locked, then — when that left kDegraded — publish a
+  /// full-fraction snapshot with `lock` (on mu_) released around it.
+  /// Batcher thread only.
+  void recover_and_republish(std::unique_lock<std::mutex>& lock,
+                             u64 batch_seq);
   void record_transition_locked(LadderRung from, LadderRung to, u64 batch_seq,
                                 double pressure);
   /// Batch cap / publish cadence for the current rung (reads the atomic

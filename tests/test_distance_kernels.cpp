@@ -1,16 +1,19 @@
 // SIMD strip- and box-kernel contract tests (see distance_simd.hpp).
 //
-// The dispatched kernel (AVX2/NEON when the host has it, scalar otherwise)
-// returns an eps-decision bitmask and must match the scalar reference AND
-// the per-point full-sum oracle bit-for-bit on every input — including
-// exactly-eps boundary pairs (eps2 values chosen to land exactly on a
-// point's squared distance), denormals, huge magnitudes, and partial final
-// strips. The kernels abandon a lane's accumulation once its partial sum
-// exceeds eps2; these tests pin that the abandonment never changes a
-// decision. Cluster labels must not depend on which variant ran. The
-// forced-scalar ctest cell (test_distance_kernels_scalar, SDB_SIMD=scalar in
-// the environment) re-runs this whole binary with dispatch pinned to the
-// fallback, so both sides of every comparison are exercised on SIMD hosts.
+// The strip kernels compute float32 sums and return two bounded masks per
+// query (sure-in and maybe); the caller rechecks the maybe-only lanes with
+// the double loop. These tests pin the contract that matters: for every
+// variant, tile width T = 1..4, lane offset and count, the masks respect
+// the DESIGN.md §14 bound (sure lanes are in, every in lane is maybe) and
+// the final decisions equal the double full-sum oracle bit for bit —
+// including exactly-eps pairs, one ulp either side of eps^2, large
+// coordinate offsets, denormals, -0.0 and +-1e150 (where the bound is not
+// usable and every lane takes the recheck). The box kernel's decisions are
+// still bit-identical to the scalar box test, and cluster labels must not
+// depend on which variant ran. The forced-scalar ctest cell
+// (test_distance_kernels_scalar, SDB_SIMD=scalar in the environment) re-runs
+// this whole binary with dispatch pinned to the fallback, so both sides of
+// every comparison are exercised on SIMD hosts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,30 +33,122 @@
 namespace sdb {
 namespace {
 
-/// Oracle mask: full-sum squared distance per lane (same ascending-d unfused
-/// accumulation as the kernels), compared against eps2 with <= — the
-/// decision every variant must reproduce regardless of how early it
-/// abandons a lane.
-u32 oracle_mask(std::span<const double> q,
-                const std::vector<std::vector<double>>& rows, size_t pos,
-                size_t count, double eps2) {
+using Rows = std::vector<std::vector<double>>;
+
+/// Rows stored the way the kd-tree stores a leaf: float offsets from the
+/// centre of the rows' box, in strip blocks.
+struct TestStrip {
+  TestStrip(const Rows& rows, size_t dim) : dim(dim), centre(dim) {
+    std::vector<double> box(2 * dim);
+    for (size_t d = 0; d < dim; ++d) {
+      box[2 * d] = INFINITY;
+      box[2 * d + 1] = -INFINITY;
+      for (const auto& r : rows) {
+        box[2 * d] = std::min(box[2 * d], r[d]);
+        box[2 * d + 1] = std::max(box[2 * d + 1], r[d]);
+      }
+    }
+    half_extent = box_centre(box.data(), dim, centre.data());
+    data.assign(strip_padded_len(rows.size(), dim), 0.0f);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      strip_store_row(data.data(), i, rows[i], centre.data());
+    }
+  }
+  size_t dim;
+  std::vector<float> data;
+  std::vector<double> centre;
+  double half_extent = 0.0;
+};
+
+/// Oracle: bit j set iff lane j of `active` in the block at `base` has a
+/// double full-sum squared distance (the repo's ascending-d unfused loop)
+/// <= eps2.
+u32 oracle_mask(std::span<const double> q, const Rows& rows, size_t base,
+                u32 active, double eps2) {
   u32 mask = 0;
-  for (size_t j = 0; j < count; ++j) {
-    if (squared_distance_uncounted(q, rows[pos + j]) <= eps2) {
+  for (u32 a = active; a != 0; a &= a - 1) {
+    const int j = std::countr_zero(a);
+    if (squared_distance_uncounted(q, rows[base + j]) <= eps2) {
       mask |= u32{1} << j;
     }
   }
   return mask;
 }
 
-/// Adversarial coordinate rows for one strip block: exact duplicates of the
-/// query, partners offset by exactly eps along one axis, denormal and huge
-/// magnitudes, negative zeros, and plain random values.
-std::vector<std::vector<double>> adversarial_rows(size_t n, size_t dim,
-                                                  double eps,
-                                                  std::span<const double> q,
-                                                  Rng& rng) {
-  std::vector<std::vector<double>> rows;
+/// One kernel call for the tile `qs` (1..4 query rows) over the `active`
+/// lanes of the block at `base`, then the double recheck. Checks the mask
+/// contract against the oracle and returns whether the thresholds were
+/// usable; `finals` gets each query's final decisions.
+bool decide_tile(simd::StripKernelFn kernel, const TestStrip& strip,
+                 const Rows& rows, const std::vector<const double*>& qs,
+                 double eps2, size_t base, u32 active,
+                 std::vector<u32>& finals) {
+  const size_t dim = strip.dim;
+  const simd::StripThresholds th =
+      simd::StripSlack(eps2, dim).at(strip.half_extent);
+  std::vector<float> qf(qs.size() * dim);
+  simd::StripMasks masks[kStripTile];
+  for (size_t t = 0; t < qs.size(); ++t) {
+    masks[t] = {0, active};
+    strip_relative({qs[t], dim}, strip.centre.data(), qf.data() + t * dim, 1);
+  }
+  if (th.usable) {
+    EXPECT_LE(th.sure_le, th.maybe_le);
+    kernel(qf.data(), qs.size(), dim, th.sure_le, th.maybe_le,
+           strip_block(strip.data.data(), base, dim), active, masks);
+  }
+  finals.clear();
+  for (size_t t = 0; t < qs.size(); ++t) {
+    const std::span<const double> q(qs[t], dim);
+    const u32 want = oracle_mask(q, rows, base, active, eps2);
+    const simd::StripMasks& m = masks[t];
+    EXPECT_EQ(m.sure & ~m.maybe, 0u) << "sure lane outside maybe";
+    EXPECT_EQ(m.maybe & ~active, 0u) << "mask bit outside active lanes";
+    EXPECT_EQ(m.sure & ~want, 0u) << "sure lane the double loop rejects";
+    EXPECT_EQ(want & ~m.maybe, 0u) << "in lane missing from maybe";
+    finals.push_back(strip_recheck(m, q, eps2, [&](int j) {
+      return std::span<const double>(rows[base + j]);
+    }));
+    EXPECT_EQ(finals.back(), want) << "final decisions vs double oracle";
+  }
+  return th.usable;
+}
+
+/// Every block of `rows` for every query in `queries`, tiled 1..4 wide with
+/// each query at every tile slot, on the dispatched and the scalar kernel.
+/// Returns how many tile calls had usable thresholds.
+size_t sweep_blocks(const TestStrip& strip, const Rows& rows,
+                    const Rows& queries, double eps2) {
+  size_t usable = 0;
+  std::vector<u32> finals;
+  for (const simd::StripKernelFn kernel :
+       {simd::detail::strip_kernel(), &simd::detail::strip_scalar}) {
+    for (size_t base = 0; base < rows.size(); base += kDistanceStrip) {
+      const u32 active =
+          strip_lanes(0, std::min(kDistanceStrip, rows.size() - base));
+      for (size_t nq = 1; nq <= kStripTile; ++nq) {
+        for (size_t first = 0; first < queries.size(); ++first) {
+          std::vector<const double*> tile;
+          for (size_t t = 0; t < nq; ++t) {
+            tile.push_back(queries[(first + t) % queries.size()].data());
+          }
+          usable += decide_tile(kernel, strip, rows, tile, eps2, base, active,
+                                finals)
+                        ? 1
+                        : 0;
+        }
+      }
+    }
+  }
+  return usable;
+}
+
+/// Adversarial coordinate rows: exact duplicates of the query, partners
+/// offset by exactly eps along one axis, denormal magnitudes, negative
+/// zeros, plain random values and — when `huge` — +-1e150 rows.
+Rows adversarial_rows(size_t n, size_t dim, double eps,
+                      std::span<const double> q, Rng& rng, bool huge) {
+  Rows rows;
   for (size_t i = 0; i < n; ++i) {
     std::vector<double> p(dim);
     switch (i % 6) {
@@ -68,7 +163,10 @@ std::vector<std::vector<double>> adversarial_rows(size_t n, size_t dim,
         for (auto& x : p) x = 1e-310;
         break;
       case 3:  // huge magnitudes (squares near the overflow edge)
-        for (auto& x : p) x = (rng.uniform(0.0, 1.0) < 0.5 ? -1e150 : 1e150);
+        for (auto& x : p) {
+          x = huge ? (rng.uniform(0.0, 1.0) < 0.5 ? -1e150 : 1e150)
+                   : rng.uniform(-100.0, 100.0);
+        }
         break;
       case 4:  // negative zero vs positive zero
         for (auto& x : p) x = -0.0;
@@ -85,78 +183,81 @@ std::vector<std::vector<double>> adversarial_rows(size_t n, size_t dim,
 class StripKernelBitExact : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(StripKernelBitExact, MatchesScalarReferenceAndPerPointLoop) {
+  // Final decisions (kernel masks + double recheck) equal the double
+  // full-sum oracle on the dispatched and the scalar kernel, at thresholds
+  // that make the decision a one-ulp question: 0 (only exact duplicates
+  // pass), eps^2 exactly (the offset-by-eps partners land ON the boundary),
+  // one ulp below it (they must flip out), exact squared distances of
+  // individual rows (<= must include them), tiny and huge.
   const size_t dim = GetParam();
   const double eps = 25.0;
   Rng rng(1234 + static_cast<u64>(dim));
   std::vector<double> q(dim);
   for (auto& x : q) x = rng.uniform(-100.0, 100.0);
-
-  // Two full blocks plus a partial one, every lane offset exercised below.
-  const size_t n = 2 * kDistanceStrip + 7;
-  const auto rows = adversarial_rows(n, dim, eps, q, rng);
-  std::vector<double> strips(strip_padded_len(n, dim), 0.0);
-  for (size_t i = 0; i < n; ++i) strip_store_row(strips.data(), i, rows[i]);
-
-  // Thresholds that make the decision a one-ulp question: 0 (only exact
-  // duplicates pass), eps^2 exactly (the offset-by-eps partners land ON the
-  // boundary), one ulp below it (they must flip out), exact squared
-  // distances of individual rows (<= must include them), tiny and huge.
-  std::vector<double> eps2s = {0.0, eps * eps,
-                               std::nextafter(eps * eps, 0.0), 1e-310, 1e5,
-                               1e300};
-  for (size_t i = 0; i < n; i += 5) {
-    eps2s.push_back(squared_distance_uncounted(q, rows[i]));
+  Rows queries = {q};
+  for (int r = 0; r < 3; ++r) {
+    for (auto& x : q) x = rng.uniform(-100.0, 100.0);
+    queries.push_back(q);
   }
+  queries.push_back(std::vector<double>(dim, -0.0));
+  queries.push_back(std::vector<double>(dim, 1e150));  // F overflows: out
 
-  const simd::StripKernelFn dispatched = simd::detail::strip_kernel();
-  for (const double eps2 : eps2s) {
-    if (!std::isfinite(eps2)) continue;  // huge-coordinate rows overflow d2
-    for (size_t pos = 0; pos < n;) {
-      const size_t lane = pos % kDistanceStrip;
-      const size_t count = std::min(kDistanceStrip - lane, n - pos);
-      const double* lanes = strip_lane(strips.data(), pos, dim);
-      const u32 got = dispatched(q.data(), dim, eps2, lanes, count);
-      const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
-                                                 count);
-      const u32 want = oracle_mask(q, rows, pos, count, eps2);
-      EXPECT_EQ(got, ref) << "dispatched vs strip_scalar: dim=" << dim
-                          << " pos=" << pos << " eps2=" << eps2;
-      EXPECT_EQ(got, want) << "dispatched vs full-sum oracle: dim=" << dim
-                           << " pos=" << pos << " eps2=" << eps2;
-      pos += count;
+  // Two full blocks plus a partial one. Without the +-1e150 rows the strip
+  // takes the kernel path; with them the bound is unusable and every lane
+  // takes the recheck.
+  const size_t n = 2 * kDistanceStrip + 7;
+  for (const bool huge : {false, true}) {
+    const Rows rows = adversarial_rows(n, dim, eps, queries[0], rng, huge);
+    const TestStrip strip(rows, dim);
+    std::vector<double> eps2s = {0.0, eps * eps,
+                                 std::nextafter(eps * eps, 0.0), 1e-310, 1e5,
+                                 1e300};
+    for (size_t i = 0; i < n; i += 5) {
+      eps2s.push_back(squared_distance_uncounted(queries[0], rows[i]));
+    }
+    for (const double eps2 : eps2s) {
+      if (!std::isfinite(eps2)) continue;  // huge rows overflow d2
+      const size_t usable = sweep_blocks(strip, rows, queries, eps2);
+      if (huge || eps2 > 1e38) {
+        EXPECT_EQ(usable, 0u) << "dim=" << dim << " eps2=" << eps2;
+      } else {
+        EXPECT_GT(usable, 0u) << "dim=" << dim << " eps2=" << eps2;
+      }
     }
   }
 }
 
 TEST_P(StripKernelBitExact, EveryLaneOffsetAndCount) {
-  // A scan may enter a block at any lane and take any count up to the block
-  // end — sweep them all, checking masks and that no bit at or past `count`
-  // is ever set.
+  // A leaf may enter a block at any lane and leave it at any lane: sweep
+  // every active range of one block, every tile width and every tile slot.
   const size_t dim = GetParam();
   const double eps = 4.0;
   Rng rng(99 + static_cast<u64>(dim));
-  std::vector<double> q(dim);
-  for (auto& x : q) x = rng.uniform(-10.0, 10.0);
+  Rows queries;
+  for (int r = 0; r < 4; ++r) {
+    std::vector<double> q(dim);
+    for (auto& x : q) x = rng.uniform(-10.0, 10.0);
+    queries.push_back(std::move(q));
+  }
+  const Rows rows =
+      adversarial_rows(kDistanceStrip, dim, eps, queries[0], rng, false);
+  const TestStrip strip(rows, dim);
 
-  const size_t n = kDistanceStrip;
-  const auto rows = adversarial_rows(n, dim, eps, q, rng);
-  std::vector<double> strips(strip_padded_len(n, dim), 0.0);
-  for (size_t i = 0; i < n; ++i) strip_store_row(strips.data(), i, rows[i]);
-
+  std::vector<u32> finals;
   const simd::StripKernelFn dispatched = simd::detail::strip_kernel();
   for (const double eps2 : {0.0, eps * eps, 1e4}) {
     for (size_t lane = 0; lane < kDistanceStrip; ++lane) {
       for (size_t count = 1; count <= kDistanceStrip - lane; ++count) {
-        const u32 got = dispatched(q.data(), dim, eps2,
-                                   strip_lane(strips.data(), lane, dim),
-                                   count);
-        const u32 want = oracle_mask(q, rows, lane, count, eps2);
-        EXPECT_EQ(got, want)
-            << "lane=" << lane << " count=" << count << " eps2=" << eps2;
-        if (count < 32) {
-          EXPECT_EQ(got >> count, 0u)
-              << "mask bit at/past count: lane=" << lane
-              << " count=" << count << " eps2=" << eps2;
+        const u32 active = strip_lanes(lane, lane + count);
+        for (size_t nq = 1; nq <= kStripTile; ++nq) {
+          for (size_t slot = 0; slot < nq; ++slot) {
+            std::vector<const double*> tile;
+            for (size_t t = 0; t < nq; ++t) {
+              tile.push_back(queries[(t + 4 - slot) % 4].data());
+            }
+            decide_tile(dispatched, strip, rows, tile, eps2, 0, active,
+                        finals);
+          }
         }
       }
     }
@@ -168,12 +269,11 @@ INSTANTIATE_TEST_SUITE_P(Dims, StripKernelBitExact,
 
 // ---------------------------------------------------------------------------
 // Partial-distance abandonment at high dimension. The probe schedule
-// (abandon_probe_due) checks the accumulated partial sum at fixed depths;
-// the d >= 64 regression was a stride that skipped the late probes, so
-// far-away rows burned the whole row before abandoning — and one variant's
-// probe placement disagreed with another's mask on boundary eps2 values.
-// These fixtures make abandonment THE common case and require bit-identical
-// masks against both the scalar reference and the full-sum oracle.
+// (abandon_probe_due) checks the accumulated partial sums at fixed depths.
+// These fixtures make abandonment THE common case — rows that cross the
+// threshold at every probe depth, next to near-duplicates decided only by
+// their last coordinate — and require the final decisions to equal the
+// double oracle for every tile width.
 // ---------------------------------------------------------------------------
 
 class AbandonmentHighDim : public ::testing::TestWithParam<size_t> {};
@@ -190,7 +290,7 @@ TEST_P(AbandonmentHighDim, AllFarRowsMatchScalarBitExactly) {
   // 127) exercises every abandonment point of the schedule; the remaining
   // lanes are near-duplicates that must survive to the end.
   const size_t n = 2 * kDistanceStrip + 5;
-  std::vector<std::vector<double>> rows;
+  Rows rows;
   const size_t depths[] = {0, 1, 3, 7, 15, 31, 47, 63, 95, 127};
   for (size_t i = 0; i < n; ++i) {
     std::vector<double> p(q.begin(), q.end());
@@ -204,8 +304,13 @@ TEST_P(AbandonmentHighDim, AllFarRowsMatchScalarBitExactly) {
     }
     rows.push_back(std::move(p));
   }
-  std::vector<double> strips(strip_padded_len(n, dim), 0.0);
-  for (size_t i = 0; i < n; ++i) strip_store_row(strips.data(), i, rows[i]);
+  const TestStrip strip(rows, dim);
+  Rows queries = {q};
+  for (int r = 0; r < 3; ++r) {
+    std::vector<double> far(q.begin(), q.end());
+    for (auto& x : far) x += 1000.0 * (r + 1);  // abandons at the first probe
+    queries.push_back(std::move(far));
+  }
 
   // eps2 ladder: thresholds between the per-depth crossing sums, so each
   // value abandons a different subset of rows at a different probe.
@@ -214,28 +319,138 @@ TEST_P(AbandonmentHighDim, AllFarRowsMatchScalarBitExactly) {
   for (size_t i = 0; i < n; i += 7) {
     eps2s.push_back(squared_distance_uncounted(q, rows[i]));
   }
-
-  const simd::StripKernelFn dispatched = simd::detail::strip_kernel();
   for (const double eps2 : eps2s) {
-    for (size_t pos = 0; pos < n;) {
-      const size_t count = std::min(kDistanceStrip - pos % kDistanceStrip,
-                                    n - pos);
-      const double* lanes = strip_lane(strips.data(), pos, dim);
-      const u32 got = dispatched(q.data(), dim, eps2, lanes, count);
-      const u32 ref = simd::detail::strip_scalar(q.data(), dim, eps2, lanes,
-                                                 count);
-      const u32 want = oracle_mask(q, rows, pos, count, eps2);
-      EXPECT_EQ(got, ref) << "dim=" << dim << " pos=" << pos
-                          << " eps2=" << eps2;
-      EXPECT_EQ(got, want) << "dim=" << dim << " pos=" << pos
-                           << " eps2=" << eps2;
-      pos += count;
-    }
+    EXPECT_GT(sweep_blocks(strip, rows, queries, eps2), 0u)
+        << "dim=" << dim << " eps2=" << eps2;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, AbandonmentHighDim,
                          ::testing::Values<size_t>(64, 65, 96, 128));
+
+// ---------------------------------------------------------------------------
+// Bound fixtures for the float32 contract (DESIGN.md §14): the places where
+// a float sum is furthest from the double one, each checked through the
+// same decide/recheck path the indexes use.
+// ---------------------------------------------------------------------------
+
+TEST(StripSlackBounds, ExactlyEpsAndOneUlpEitherSide) {
+  // Partners exactly eps away along one axis, and along a diagonal; the
+  // threshold is each pair's own double d2, and one ulp below and above it.
+  for (const size_t dim : {size_t{1}, size_t{3}, size_t{10}, size_t{64}}) {
+    Rng rng(77 + static_cast<u64>(dim));
+    const double eps = 0.75;
+    std::vector<double> q(dim);
+    for (auto& x : q) x = rng.uniform(-3.0, 3.0);
+    Rows rows;
+    for (size_t i = 0; i < kDistanceStrip + 9; ++i) {
+      std::vector<double> p(q.begin(), q.end());
+      if (i % 2 == 0) {
+        p[i % dim] += (i % 4 == 0 ? eps : -eps);
+      } else {
+        for (auto& x : p) x += eps / std::sqrt(static_cast<double>(dim));
+      }
+      rows.push_back(std::move(p));
+    }
+    const TestStrip strip(rows, dim);
+    const Rows queries = {q};
+    for (size_t i = 0; i < rows.size(); i += 3) {
+      const double d2 = squared_distance_uncounted(q, rows[i]);
+      for (const double eps2 :
+           {d2, std::nextafter(d2, 0.0), std::nextafter(d2, INFINITY),
+            eps * eps}) {
+        EXPECT_EQ(sweep_blocks(strip, rows, queries, eps2),
+                  2 * 2 * kStripTile)
+            << "dim=" << dim << " eps2=" << eps2;
+      }
+    }
+  }
+}
+
+TEST(StripSlackBounds, LargeOffsetsWithSmallEps) {
+  // Points near 1e6 and 1e12 with an eps far below the offset: the strip
+  // stores offsets from its box centre, so the slack scales with the box,
+  // not the offset, and almost every lane is decided without a recheck.
+  for (const double offset : {1e6, 1e12}) {
+    for (const size_t dim : {size_t{2}, size_t{10}}) {
+      Rng rng(4 + static_cast<u64>(dim));
+      const double step = offset * 0x1p-40;  // well above the double ulp
+      const double eps = 3.0 * step;
+      Rows rows;
+      for (size_t i = 0; i < 3 * kDistanceStrip; ++i) {
+        std::vector<double> p(dim);
+        for (auto& x : p) {
+          x = offset + step * static_cast<double>(rng.uniform_index(8));
+        }
+        rows.push_back(std::move(p));
+      }
+      const TestStrip strip(rows, dim);
+      Rows queries(rows.begin(), rows.begin() + 4);
+      queries[1][0] += eps;  // a partner exactly eps from row 1's position
+      for (const double eps2 :
+           {eps * eps, std::nextafter(eps * eps, 0.0), 4 * step * step}) {
+        EXPECT_EQ(sweep_blocks(strip, rows, queries, eps2),
+                  2 * 3 * kStripTile * queries.size())
+            << "offset=" << offset << " dim=" << dim << " eps2=" << eps2;
+      }
+      // The thresholds sit within a relative ~1e-6 of eps^2.
+      const simd::StripThresholds th =
+          simd::StripSlack(eps * eps, dim).at(strip.half_extent);
+      ASSERT_TRUE(th.usable);
+      EXPECT_GT(th.sure_le, eps * eps * (1 - 1e-5));
+      EXPECT_LT(th.maybe_le, eps * eps * (1 + 1e-5));
+    }
+  }
+}
+
+TEST(StripSlackBounds, DenormalsAndNegativeZero) {
+  // Float underflow flushes these rows to (near) zero; the bound's
+  // absolute term keeps the tiny thresholds honest.
+  const size_t dim = 4;
+  Rows rows;
+  for (size_t i = 0; i < kDistanceStrip; ++i) {
+    std::vector<double> p(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      switch ((i + d) % 4) {
+        case 0: p[d] = -0.0; break;
+        case 1: p[d] = 0.0; break;
+        case 2: p[d] = 1e-310 * static_cast<double>(i + 1); break;
+        default: p[d] = -4.9e-324; break;
+      }
+    }
+    rows.push_back(std::move(p));
+  }
+  const TestStrip strip(rows, dim);
+  const Rows queries = {rows[0], rows[5], std::vector<double>(dim, -0.0),
+                        std::vector<double>(dim, 1e-300)};
+  for (const double eps2 : {0.0, 4.9e-324, 1e-320, 1e-310, 1e-300, 1.0}) {
+    EXPECT_EQ(sweep_blocks(strip, rows, queries, eps2),
+              2 * kStripTile * queries.size())
+        << "eps2=" << eps2;
+  }
+}
+
+TEST(StripSlackBounds, HugeMagnitudesTakeTheRecheck) {
+  // +-1e150 rows: their float offsets overflow, so the bound is unusable
+  // (s = +inf) and every lane is decided by the double recheck.
+  const size_t dim = 3;
+  Rows rows;
+  for (size_t i = 0; i < kDistanceStrip; ++i) {
+    rows.push_back({i % 2 == 0 ? 1e150 : -1e150, 1.0 * static_cast<double>(i),
+                    i % 3 == 0 ? -1e150 : 0.0});
+  }
+  const TestStrip strip(rows, dim);
+  EXPECT_FALSE(simd::StripSlack(1.0, dim).at(strip.half_extent).usable);
+  const Rows queries = {rows[0], rows[1], {0.0, 0.0, 0.0}, {1e150, 2.0, 0.0}};
+  for (const double eps2 : {0.0, 1.0, 1e300}) {
+    EXPECT_EQ(sweep_blocks(strip, rows, queries, eps2), 0u);
+  }
+  // Non-finite thresholds are unusable too.
+  EXPECT_FALSE(simd::StripSlack(INFINITY, dim).at(1.0).usable);
+  EXPECT_FALSE(simd::StripSlack(NAN, dim).at(1.0).usable);
+  EXPECT_FALSE(simd::StripSlack(1.0, dim).at(NAN).usable);
+  EXPECT_FALSE(simd::StripSlack(3e38, dim).at(1.0).usable);
+}
 
 // ---------------------------------------------------------------------------
 // Index-level regression: partial final strips / strip-boundary counts.

@@ -318,6 +318,69 @@ TEST(StreamPipeline, DegradedRungPublishesSubsampledSnapshots) {
   EXPECT_GE(engine.metrics().degraded_model_reads, 1u);
 }
 
+TEST(StreamPipeline, LeavingDegradedRepublishesFullSnapshot) {
+  serve::ModelRegistry registry(registry_config(), 2);
+  Rng rng(23);
+  for (int i = 0; i < 200; ++i) insert_one(registry, random_point(rng));
+  registry.publish();
+
+  IngestPipeline::Config cfg;
+  cfg.queue_capacity = 48;
+  cfg.batch_max = 2;
+  cfg.batch_deadline_us = 200;
+  cfg.lag_capacity = 1e9;
+  cfg.stall_micros = 6000;
+  cfg.degraded_core_fraction = 0.5;
+  // Negative exit watermarks: the ladder steps down only once the pipeline
+  // is idle (empty queue, no lag), after its last data publish — the
+  // publish made while still degraded. Only the republish on leaving
+  // kDegraded can replace that subsampled snapshot.
+  cfg.pressured_exit = -1.0;
+  cfg.degraded_exit = -1.0;
+  cfg.shedding_exit = -1.0;
+  IngestPipeline pipeline(registry, cfg);
+  {
+    fault::ScopedFaultPlan chaos("seed=9;stream.queue.stall");
+    for (int i = 0; i < 4000 && pipeline.rung() < LadderRung::kDegraded; ++i) {
+      pipeline.submit_insert(random_point(rng));
+    }
+    ASSERT_GE(pipeline.rung(), LadderRung::kDegraded);
+    pipeline.drain();  // inside the plan scope: see the test above
+  }
+  EXPECT_EQ(pipeline.rung(), LadderRung::kHealthy);
+  EXPECT_DOUBLE_EQ(registry.core_sample_fraction(), 1.0);
+  EXPECT_FALSE(registry.model()->degraded());
+  EXPECT_DOUBLE_EQ(registry.model()->core_sample_fraction(), 1.0);
+  EXPECT_EQ(pipeline.metrics().lag, 0u);
+}
+
+TEST(StreamPipeline, NoOpMicroEpochDoesNotPublish) {
+  serve::ModelRegistry registry(registry_config(), 2);
+  IngestPipeline::Config cfg;
+  cfg.publish_every_batches = 1;
+  IngestPipeline pipeline(registry, cfg);
+  Rng rng(29);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(pipeline.submit_insert(random_point(rng)).accepted);
+  }
+  pipeline.drain();
+  const u64 epoch = registry.epoch();
+  const StreamMetrics before = pipeline.metrics();
+  ASSERT_GE(before.publishes, 1u);
+
+  // A micro-epoch of removes of ids that never existed applies nothing: no
+  // model rebuild, no epoch bump, however often the cadence asks.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(pipeline.submit_remove(1000000 + i).accepted);
+  }
+  pipeline.drain();
+  const StreamMetrics after = pipeline.metrics();
+  EXPECT_GT(after.batches, before.batches);
+  EXPECT_EQ(after.nacked, before.nacked + 3);
+  EXPECT_EQ(after.publishes, before.publishes);
+  EXPECT_EQ(registry.epoch(), epoch);
+}
+
 TEST(StreamPipeline, StopShedsFurtherSubmitsAndIsIdempotent) {
   serve::ModelRegistry registry(registry_config(), 2);
   IngestPipeline::Config cfg;
