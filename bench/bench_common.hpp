@@ -7,6 +7,10 @@
 // minispark/cost_model.hpp and DESIGN.md §2).
 #pragma once
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "core/dbscan_seq.hpp"
@@ -114,6 +118,49 @@ inline void emit(const TablePrinter& table, const std::string& title,
     std::fputs(table.to_csv().c_str(), stdout);
   }
   std::printf("\n");
+}
+
+/// Compare `got` with the "name value" lines of the file at `path` ('#'
+/// starts a comment). On any difference print each one plus the lines that
+/// would re-pin the file, and return false.
+inline bool counters_match(const std::string& path,
+                           const std::map<std::string, u64>& got) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "baseline %s: cannot open\n", path.c_str());
+    return false;
+  }
+  std::map<std::string, u64> want;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string name;
+    u64 value = 0;
+    if (fields >> name >> value) want[name] = value;
+  }
+  if (want == got) {
+    std::printf("work counters match %s\n", path.c_str());
+    return true;
+  }
+  std::fprintf(stderr, "work counters differ from %s:\n", path.c_str());
+  for (const auto& [name, value] : want) {
+    const auto it = got.find(name);
+    if (it == got.end()) {
+      std::fprintf(stderr, "  %s: baseline %llu, not measured\n",
+                   name.c_str(), static_cast<unsigned long long>(value));
+    } else if (it->second != value) {
+      std::fprintf(stderr, "  %s: baseline %llu, run %llu\n", name.c_str(),
+                   static_cast<unsigned long long>(value),
+                   static_cast<unsigned long long>(it->second));
+    }
+  }
+  std::fprintf(stderr, "this run's lines (re-pin only for an intended "
+                       "change to the work):\n");
+  for (const auto& [name, value] : got) {
+    std::fprintf(stderr, "%s %llu\n", name.c_str(),
+                 static_cast<unsigned long long>(value));
+  }
+  return false;
 }
 
 }  // namespace sdb::bench

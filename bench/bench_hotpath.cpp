@@ -8,7 +8,8 @@
 //            plus a batched arm through range_query_batch (the executor's
 //            entry point) checked list-for-list against it, each reported
 //            as ns per distance eval raw and normalised to a same-run host
-//            reference (a fixed double scalar loop);
+//            reference (a fixed double scalar loop timed after each rep:
+//            the median of the per-rep ratios);
 //   e2e    — the full spark_dbscan pipeline wall time.
 // Results print as tables and are also written as machine-readable JSON
 // (schema documented in README "Hot-path bench") so every future PR can
@@ -23,10 +24,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <span>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -51,8 +50,19 @@ struct QueryNumbers {
   u64 distance_evals_scalar = 0;
   u64 tree_nodes = 0;
   u64 neighbors = 0;
-  double reference_ns = 0.0;  ///< host reference loop, ns per eval
+  double reference_ns = 0.0;  ///< host reference loop, ns per eval (median)
+  /// Median over reps of (arm ns/eval) / (reference ns/eval), each rep's
+  /// reference pass timed right after that rep.
+  double blocked_norm = 0.0;
+  double batch_norm = 0.0;
 };
+
+/// Median of `v` (upper middle for an even count); 0 when empty.
+double median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 /// ns per distance eval of an arm that answered `queries` at `qps`.
 double ns_per_eval(const QueryNumbers& q, double qps) {
@@ -115,54 +125,61 @@ void best_build_ms_interleaved(const PointSet& points,
 
 /// Same-run host reference: a fixed double, ascending-d, scalar loop over
 /// `rows_per_query` consecutive dataset rows per query point (as many rows
-/// as the tree examines per query), best of `reps`, in ns per row. Dividing
-/// a kernel's ns/eval by it cancels host-speed phases between recordings.
-/// Keep this loop as it is: its value is that no change touches it.
+/// as the tree examines per query), one pass, in ns per row. Timed right
+/// after each rep of an arm, so the rep's ratio to it cancels the host-speed
+/// phase the two shared. Keep this loop as it is: its value is that no
+/// change touches it.
 double reference_ns_per_eval(const PointSet& points, double eps, u64 queries,
-                             size_t stride, u64 rows_per_query, int reps) {
+                             size_t stride, u64 rows_per_query) {
   const size_t n = points.size();
   const size_t dim = static_cast<size_t>(points.dim());
   const double eps2 = eps * eps;
-  double best = 1e300;
   u64 hits = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    Stopwatch sw;
-    u64 done = 0;
-    for (size_t i = 0; done < queries && i < n; i += stride, ++done) {
-      const double* q = points[static_cast<PointId>(i)].data();
-      size_t row = i;
-      for (u64 r = 0; r < rows_per_query; ++r, ++row) {
-        if (row == n) row = 0;
-        const double* p = points[static_cast<PointId>(row)].data();
-        double s = 0.0;
-        for (size_t d = 0; d < dim; ++d) {
-          const double diff = q[d] - p[d];
-          s += diff * diff;
-        }
-        hits += s <= eps2 ? 1 : 0;
+  Stopwatch sw;
+  u64 done = 0;
+  for (size_t i = 0; done < queries && i < n; i += stride, ++done) {
+    const double* q = points[static_cast<PointId>(i)].data();
+    size_t row = i;
+    for (u64 r = 0; r < rows_per_query; ++r, ++row) {
+      if (row == n) row = 0;
+      const double* p = points[static_cast<PointId>(row)].data();
+      double s = 0.0;
+      for (size_t d = 0; d < dim; ++d) {
+        const double diff = q[d] - p[d];
+        s += diff * diff;
       }
+      hits += s <= eps2 ? 1 : 0;
     }
-    best = std::min(best, sw.seconds() * 1e9 /
-                              static_cast<double>(done * rows_per_query));
   }
+  const double ns =
+      sw.seconds() * 1e9 / static_cast<double>(done * rows_per_query);
   // Keep the loop observable so it cannot be optimised away.
   static std::atomic<u64> sink{0};
   sink.fetch_add(hits, std::memory_order_relaxed);
-  return best;
+  return ns;
 }
 
 /// Exact range queries from `queries` dataset points, round-robin. Each
 /// variant is timed `reps` times and reports its best pass — on shared /
 /// virtualized hosts the run-to-run swing is easily 2x, and best-of keeps
 /// the ratios between variants meaningful even when a slow window hits one
-/// of the passes.
+/// of the passes. The per-query and batched arms also time one reference
+/// pass after each of their reps and report the median of their per-rep
+/// ratios to it.
 QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
                              double eps, u64 queries, int reps) {
   QueryNumbers out;
   out.queries = queries;
   const size_t stride = std::max<size_t>(1, points.size() / queries);
+  std::vector<double> reference_ns;
+  // ns/eval of the reference pass right after an arm's rep.
+  const auto reference = [&](u64 evals) {
+    reference_ns.push_back(reference_ns_per_eval(points, eps, queries, stride,
+                                                 evals / queries));
+    return reference_ns.back();
+  };
   std::vector<PointId> hits;
-  auto run = [&](u64* evals, double* qps) {
+  auto run = [&](u64* evals, double* qps, std::vector<double>* ratios) {
     u64 neighbors = 0;
     double best_qps = 0.0;
     u64 nodes = 0;
@@ -181,18 +198,22 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
           neighbors += hits.size();
         }
       }
-      best_qps = std::max(best_qps, static_cast<double>(queries) / sw.seconds());
+      const double seconds = sw.seconds();
+      best_qps = std::max(best_qps, static_cast<double>(queries) / seconds);
       *evals = wc.distance_evals;
       nodes = wc.tree_nodes;
+      if (ratios != nullptr) {
+        ratios->push_back(seconds * 1e9 / static_cast<double>(*evals) /
+                          reference(*evals));
+      }
     }
     *qps = best_qps;
     out.tree_nodes = nodes;
     return neighbors;
   };
-  out.neighbors = run(&out.distance_evals_blocked, &out.blocked_qps);
-  out.reference_ns = reference_ns_per_eval(
-      points, eps, queries, stride, out.distance_evals_blocked / queries,
-      reps);
+  std::vector<double> blocked_ratios;
+  out.neighbors =
+      run(&out.distance_evals_blocked, &out.blocked_qps, &blocked_ratios);
   // Scalar-vs-SIMD self-check: the same tree re-queried with the dispatched
   // kernel pinned to the scalar fallback must report the exact same
   // distance_evals and neighbor totals (the kernels' bit-identical
@@ -200,7 +221,7 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
   // contribution from the traversal work shared by both variants.
   simd::force_scalar(true);
   const u64 scalar_neighbors =
-      run(&out.distance_evals_scalar, &out.scalar_qps);
+      run(&out.distance_evals_scalar, &out.scalar_qps, nullptr);
   simd::force_scalar(false);
   SDB_CHECK(out.distance_evals_scalar == out.distance_evals_blocked,
             "forced-scalar rerun must evaluate the same candidates");
@@ -214,18 +235,19 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
   for (size_t i = 0; ids.size() < queries && i < points.size(); i += stride) {
     ids.push_back(static_cast<PointId>(i));
   }
-  NeighborhoodCsr reference;
-  reference.offsets.push_back(0);
-  WorkCounters reference_wc;
+  NeighborhoodCsr per_query;
+  per_query.offsets.push_back(0);
+  WorkCounters per_query_wc;
   {
-    ScopedCounters scope(&reference_wc);
+    ScopedCounters scope(&per_query_wc);
     for (const PointId id : ids) {
       tree.range_query_budgeted(points[id], eps, QueryBudget{},
-                                reference.ids);
-      reference.offsets.push_back(reference.ids.size());
+                                per_query.ids);
+      per_query.offsets.push_back(per_query.ids.size());
     }
   }
   NeighborhoodCsr batch;
+  std::vector<double> batch_ratios;
   for (int rep = 0; rep < reps; ++rep) {
     WorkCounters wc;
     Stopwatch sw;
@@ -233,14 +255,21 @@ QueryNumbers measure_queries(const PointSet& points, const KdTree& tree,
       ScopedCounters scope(&wc);
       tree.range_query_batch(ids, eps, QueryBudget{}, batch);
     }
-    out.batch_qps = std::max(
-        out.batch_qps, static_cast<double>(ids.size()) / sw.seconds());
-    SDB_CHECK(wc.distance_evals == reference_wc.distance_evals &&
-                  wc.tree_nodes == reference_wc.tree_nodes,
+    const double seconds = sw.seconds();
+    out.batch_qps =
+        std::max(out.batch_qps, static_cast<double>(ids.size()) / seconds);
+    SDB_CHECK(wc.distance_evals == per_query_wc.distance_evals &&
+                  wc.tree_nodes == per_query_wc.tree_nodes,
               "batched queries must charge the per-query counters");
+    batch_ratios.push_back(seconds * 1e9 /
+                           static_cast<double>(wc.distance_evals) /
+                           reference(wc.distance_evals));
   }
-  SDB_CHECK(batch.ids == reference.ids && batch.offsets == reference.offsets,
+  SDB_CHECK(batch.ids == per_query.ids && batch.offsets == per_query.offsets,
             "batched queries must return the per-query lists");
+  out.reference_ns = median(reference_ns);
+  out.blocked_norm = median(blocked_ratios);
+  out.batch_norm = median(batch_ratios);
   return out;
 }
 
@@ -383,11 +412,8 @@ void write_json(const std::string& path, const std::string& mode,
                  static_cast<unsigned long long>(r.query.tree_nodes),
                  ns_per_eval(r.query, r.query.blocked_qps),
                  ns_per_eval(r.query, r.query.batch_qps),
-                 r.query.reference_ns,
-                 ns_per_eval(r.query, r.query.blocked_qps) /
-                     r.query.reference_ns,
-                 ns_per_eval(r.query, r.query.batch_qps) /
-                     r.query.reference_ns);
+                 r.query.reference_ns, r.query.blocked_norm,
+                 r.query.batch_norm);
     std::fprintf(f, ",\n     \"scaling\": [");
     for (size_t s = 0; s < r.scaling.size(); ++s) {
       const ScalingPoint& sp = r.scaling[s];
@@ -423,49 +449,6 @@ std::map<std::string, u64> work_counters(
     out[r.name + ".node_count"] = r.node_count;
   }
   return out;
-}
-
-/// Compare `got` with the "name value" lines of the file at `path` ('#'
-/// starts a comment). On any difference print each one plus the lines that
-/// would re-pin the file, and return false.
-bool counters_match(const std::string& path,
-                    const std::map<std::string, u64>& got) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "baseline %s: cannot open\n", path.c_str());
-    return false;
-  }
-  std::map<std::string, u64> want;
-  for (std::string line; std::getline(in, line);) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream fields(line);
-    std::string name;
-    u64 value = 0;
-    if (fields >> name >> value) want[name] = value;
-  }
-  if (want == got) {
-    std::printf("work counters match %s\n", path.c_str());
-    return true;
-  }
-  std::fprintf(stderr, "work counters differ from %s:\n", path.c_str());
-  for (const auto& [name, value] : want) {
-    const auto it = got.find(name);
-    if (it == got.end()) {
-      std::fprintf(stderr, "  %s: baseline %llu, not measured\n",
-                   name.c_str(), static_cast<unsigned long long>(value));
-    } else if (it->second != value) {
-      std::fprintf(stderr, "  %s: baseline %llu, run %llu\n", name.c_str(),
-                   static_cast<unsigned long long>(value),
-                   static_cast<unsigned long long>(it->second));
-    }
-  }
-  std::fprintf(stderr, "this run's lines (re-pin only for an intended "
-                       "change to the work):\n");
-  for (const auto& [name, value] : got) {
-    std::fprintf(stderr, "%s %llu\n", name.c_str(),
-                 static_cast<unsigned long long>(value));
-  }
-  return false;
 }
 
 }  // namespace
@@ -524,7 +507,7 @@ int main(int argc, char** argv) {
 
     const KdTree tree(points, {.build_threads = threads});
     r.node_count = tree.node_count();
-    r.query = measure_queries(points, tree, spec.eps, queries, smoke ? 2 : 3);
+    r.query = measure_queries(points, tree, spec.eps, queries, smoke ? 2 : 5);
 
     // Thread-scaling: parallel build and concurrent query throughput at
     // 1/2/4/hw threads (the ROADMAP's multi-thread build/query row).
@@ -586,9 +569,7 @@ int main(int argc, char** argv) {
         {"ns/eval: host reference vs batched",
          TablePrinter::cell(r.query.reference_ns, 3),
          TablePrinter::cell(ns_per_eval(r.query, r.query.batch_qps), 3),
-         TablePrinter::cell(r.query.reference_ns /
-                                ns_per_eval(r.query, r.query.batch_qps),
-                            2)});
+         TablePrinter::cell(1.0 / r.query.batch_norm, 2)});
     if (r.has_e2e) {
       table.add_row({"e2e wall (s)", "-", TablePrinter::cell(r.e2e.wall_s, 2),
                      "-"});
@@ -617,7 +598,8 @@ int main(int argc, char** argv) {
   write_json(flags.string("out"), smoke ? "smoke" : "full", threads, seed,
              reports);
   const std::string baseline = flags.string("baseline");
-  if (!baseline.empty() && !counters_match(baseline, work_counters(reports))) {
+  if (!baseline.empty() &&
+      !bench::counters_match(baseline, work_counters(reports))) {
     return 1;
   }
   return 0;

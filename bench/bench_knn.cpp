@@ -15,13 +15,17 @@
 //           regression fails the perf smoke, not just a human reading the
 //           numbers.
 //
-// --smoke shrinks n to seconds-scale and runs under ctest -L perf; full
-// runs maintain the committed BENCH_knn.json (schema in README).
+// --smoke shrinks n to seconds-scale and runs under ctest -L perf, where
+// --baseline compares the run's deterministic work counters (graph evals,
+// candidates, exact evals, rounds, graph digest, eps edges, core points)
+// with bench/knn_smoke_counters.txt exactly; full runs maintain the
+// committed BENCH_knn.json (schema in README).
 #include "bench_common.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,10 +60,13 @@ struct WorkloadReport {
   u64 knn_graph_evals = 0;
   u64 knn_candidates = 0;
   u64 knn_exact_evals = 0;
+  u64 knn_graph_digest = 0;
   double knn_recall = 0.0;
   double knn_eps_graph_ms = 0.0;
   double knn_cluster_ms = 0.0;
   u64 knn_noise = 0;
+  u64 knn_eps_edges = 0;
+  u64 knn_core_points = 0;
 
   knn::DisagreementReport gap;
 
@@ -168,6 +175,7 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
   r.knn_graph_evals = stats.distance_evals;
   r.knn_candidates = stats.candidates;
   r.knn_exact_evals = stats.exact_evals;
+  r.knn_graph_digest = graph.digest();
 
   // Stride-sampled recall: exact rows for ~1k query points via the
   // brute-force kernel scan. (The full n^2 exact-graph oracle would
@@ -200,6 +208,8 @@ WorkloadReport run_workload(const std::string& name, i64 n, int dim,
     eps_graph = knn::KnnEpsGraph::build(graph, params);
     r.knn_eps_graph_ms = sw.millis();
   }
+  r.knn_eps_edges = eps_graph.num_edges();
+  r.knn_core_points = eps_graph.num_core();
   dbscan::Clustering approx;
   {
     Stopwatch sw;
@@ -320,6 +330,24 @@ void write_json(const std::string& path, const std::string& mode, u64 seed,
   std::printf("wrote %s\n", path.c_str());
 }
 
+/// The run's deterministic work counters, per workload: the graph build's
+/// evals, gathered candidates, exact evals, rounds and digest, and the
+/// eps-graph's edges and core points.
+std::map<std::string, u64> work_counters(
+    const std::vector<WorkloadReport>& reports) {
+  std::map<std::string, u64> out;
+  for (const WorkloadReport& r : reports) {
+    out[r.name + ".graph_evals"] = r.knn_graph_evals;
+    out[r.name + ".candidates"] = r.knn_candidates;
+    out[r.name + ".exact_evals"] = r.knn_exact_evals;
+    out[r.name + ".rounds"] = r.knn_rounds;
+    out[r.name + ".graph_digest"] = r.knn_graph_digest;
+    out[r.name + ".eps_edges"] = r.knn_eps_edges;
+    out[r.name + ".core_points"] = r.knn_core_points;
+  }
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -329,6 +357,9 @@ int main(int argc, char** argv) {
   flags.add_string("out", "BENCH_knn.json", "JSON output path");
   flags.add_i64("seed", 42, "dataset seed");
   flags.add_bool("csv", false, "also print tables as CSV");
+  flags.add_string("baseline", "",
+                   "committed work-counter file to compare against exactly "
+                   "(exit 1 on any difference)");
   flags.parse(argc, argv);
 
   const bool smoke = flags.boolean("smoke");
@@ -346,5 +377,10 @@ int main(int argc, char** argv) {
 
   print_table(reports, flags.boolean("csv"));
   write_json(flags.string("out"), smoke ? "smoke" : "full", seed, reports);
+  const std::string baseline = flags.string("baseline");
+  if (!baseline.empty() &&
+      !bench::counters_match(baseline, work_counters(reports))) {
+    return 1;
+  }
   return 0;
 }

@@ -3,10 +3,11 @@
 // (the spatial indexes) batch their counts per query and flush once through
 // counters::add — same totals, no thread-local lookup per evaluation.
 //
-// The vectorized leaf-scan kernels live in distance_simd.hpp: runtime-
-// dispatched float32 tile kernels over a strip-transposed (SoA) layout whose
-// undecided lanes are rechecked here with the unfused ascending-d double
-// loop, so eps-membership decisions never depend on the host ISA.
+// The vectorized kernels live in distance_simd.hpp: runtime-dispatched
+// float32 tile kernels over a strip-transposed (SoA) layout, and a double
+// row kernel over rows given by pointer. Both return bounded masks whose
+// undecided rows are rechecked here with the unfused ascending-d double
+// loop, so decisions never depend on the host ISA.
 #pragma once
 
 #include <algorithm>
@@ -151,6 +152,20 @@ inline std::uint32_t strip_block_mask(simd::StripKernelFn kernel,
     kernel(qf, 1, q.size(), th.sure_le, th.maybe_le, block, active, &m);
   }
   return strip_recheck(m, q, eps2, row);
+}
+
+/// Row-kernel filter of `count` double rows against the double cutoff
+/// `tau`: a superset of the rows whose ascending-d squared distance to `q`
+/// is <= tau — every row when the bound does not cover tau (see
+/// row_maybe_le). Callers recheck the result with
+/// squared_distance_uncounted.
+inline std::uint32_t row_filter(simd::RowKernelFn kernel,
+                                std::span<const double> q,
+                                const double* const* rows, size_t count,
+                                double tau) {
+  const double maybe_le = simd::row_maybe_le(tau, q.size());
+  if (maybe_le == INFINITY) return strip_lanes(0, count);
+  return kernel(q.data(), rows, count, q.size(), maybe_le);
 }
 
 /// Neighbor-budgeted scan of packed strip positions [begin, end) with

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 
 namespace sdb::simd {
 
@@ -61,6 +62,18 @@ StripSlack::StripSlack(double eps2, size_t dim) : tau_(eps2) {
   usable_ = true;
 }
 
+// DESIGN.md §14, row kernel: the kernel and the ascending-d loop sum the
+// same non-negative terms in different orders, each within gamma of their
+// exact sum, so the loop's D <= tau gives the kernel's sum
+// <= tau (1 + gamma) / (1 - gamma) = tau / (1 - 2 m), m = (dim - 1) u.
+// 1 - 2 m is exact (m is an integer multiple of 2^-53 below 2^-11); the
+// quotient is one rounding, and one step up covers it.
+double row_maybe_le(double tau, size_t dim) {
+  const double m = static_cast<double>(dim > 0 ? dim - 1 : 0) * kUd;
+  if (!(tau <= DBL_MAX / 2) || !(m < 0x1p-11)) return INFINITY;
+  return std::nextafter(tau / (1.0 - 2.0 * m), INFINITY);
+}
+
 StripThresholds StripSlack::at(double half_extent) const {
   StripThresholds th;
   // Stored coordinates must stay finite floats; NaN fails every test here.
@@ -83,6 +96,7 @@ namespace detail {
 
 std::atomic<StripKernelFn> g_strip{nullptr};
 std::atomic<BoxKernelFn> g_box{nullptr};
+std::atomic<RowKernelFn> g_row{nullptr};
 
 void strip_scalar(const float* qs, size_t nq, size_t dim, float sure_le,
                   float maybe_le, const float* block, std::uint32_t active,
@@ -126,6 +140,23 @@ std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
   return mask;
 }
 
+std::uint32_t row_scalar(const double* q, const double* const* rows,
+                         size_t count, size_t dim, double maybe_le) {
+  std::uint32_t mask = 0;
+  for (size_t l = 0; l < count; ++l) {
+    const double* p = rows[l];
+    // squared_distance_uncounted's own loop: the same terms, the same order.
+    double s = 0.0;
+    for (size_t d = 0; d < dim; ++d) {
+      const double diff = q[d] - p[d];
+      s += diff * diff;
+      if (s > maybe_le) break;  // monotone: the row is out
+    }
+    if (s <= maybe_le) mask |= std::uint32_t{1} << l;
+  }
+  return mask;
+}
+
 #if SDB_HAVE_AVX2
 // Defined in distance_simd_avx2.cpp (compiled with -mavx2 only).
 void strip_avx2(const float* qs, size_t nq, size_t dim, float sure_le,
@@ -133,6 +164,8 @@ void strip_avx2(const float* qs, size_t nq, size_t dim, float sure_le,
                 StripMasks* out);
 std::uint32_t box_avx2(const double* qs, size_t dim, double eps2,
                        const double* box, std::uint32_t active);
+std::uint32_t row_avx2(const double* q, const double* const* rows,
+                       size_t count, size_t dim, double maybe_le);
 #endif
 #if SDB_HAVE_AVX512
 // Defined in distance_simd_avx512.cpp (compiled with -mavx512f only).
@@ -141,12 +174,16 @@ void strip_avx512(const float* qs, size_t nq, size_t dim, float sure_le,
                   StripMasks* out);
 std::uint32_t box_avx512(const double* qs, size_t dim, double eps2,
                          const double* box, std::uint32_t active);
+std::uint32_t row_avx512(const double* q, const double* const* rows,
+                         size_t count, size_t dim, double maybe_le);
 #endif
 #if SDB_HAVE_NEON
 // Defined in distance_simd_neon.cpp.
 void strip_neon(const float* qs, size_t nq, size_t dim, float sure_le,
                 float maybe_le, const float* block, std::uint32_t active,
                 StripMasks* out);
+std::uint32_t row_neon(const double* q, const double* const* rows,
+                       size_t count, size_t dim, double maybe_le);
 #endif
 
 namespace {
@@ -165,24 +202,52 @@ bool env_forces_scalar() {
 struct Kernels {
   StripKernelFn strip;
   BoxKernelFn box;
+  RowKernelFn row;
 };
+
+constexpr Kernels kScalarKernels{&strip_scalar, &box_scalar, &row_scalar};
+
+/// Variant `v`'s kernels when they are compiled in and this CPU runs them.
+/// NEON is baseline on aarch64 (no runtime probe); its box kernel is the
+/// scalar one.
+std::optional<Kernels> kernels_of(KernelVariant v) {
+  switch (v) {
+    case KernelVariant::kScalar: return kScalarKernels;
+    case KernelVariant::kAvx512:
+#if SDB_HAVE_AVX512
+      if (__builtin_cpu_supports("avx512f")) {
+        return Kernels{&strip_avx512, &box_avx512, &row_avx512};
+      }
+#endif
+      break;
+    case KernelVariant::kAvx2:
+#if SDB_HAVE_AVX2
+      if (__builtin_cpu_supports("avx2")) {
+        return Kernels{&strip_avx2, &box_avx2, &row_avx2};
+      }
+#endif
+      break;
+    case KernelVariant::kNeon:
+#if SDB_HAVE_NEON
+      return Kernels{&strip_neon, &box_scalar, &row_neon};
+#endif
+      break;
+  }
+  return std::nullopt;
+}
+
+/// The vector variants, best first.
+constexpr KernelVariant kVectorVariants[] = {
+    KernelVariant::kAvx512, KernelVariant::kAvx2, KernelVariant::kNeon};
 
 Kernels best_kernels() {
   if (g_forced_scalar.load(std::memory_order_relaxed) || env_forces_scalar()) {
-    return {&strip_scalar, &box_scalar};
+    return kScalarKernels;
   }
-#if SDB_HAVE_AVX512
-  if (__builtin_cpu_supports("avx512f")) return {&strip_avx512, &box_avx512};
-#endif
-#if SDB_HAVE_AVX2
-  if (__builtin_cpu_supports("avx2")) return {&strip_avx2, &box_avx2};
-#endif
-#if SDB_HAVE_NEON
-  // NEON is baseline on aarch64; no runtime probe needed. The box kernel
-  // takes the scalar path there.
-  return {&strip_neon, &box_scalar};
-#endif
-  return {&strip_scalar, &box_scalar};
+  for (const KernelVariant v : kVectorVariants) {
+    if (const std::optional<Kernels> k = kernels_of(v)) return *k;
+  }
+  return kScalarKernels;
 }
 
 }  // namespace
@@ -191,22 +256,22 @@ void resolve() {
   const Kernels k = best_kernels();
   g_strip.store(k.strip, std::memory_order_relaxed);
   g_box.store(k.box, std::memory_order_relaxed);
+  g_row.store(k.row, std::memory_order_relaxed);
+}
+
+RowKernelFn row_kernel_of(KernelVariant v) {
+  const std::optional<Kernels> k = kernels_of(v);
+  return k ? k->row : nullptr;
 }
 
 }  // namespace detail
 
 KernelVariant active_variant() {
   const StripKernelFn fn = detail::strip_kernel();
-#if SDB_HAVE_AVX512
-  if (fn == &detail::strip_avx512) return KernelVariant::kAvx512;
-#endif
-#if SDB_HAVE_AVX2
-  if (fn == &detail::strip_avx2) return KernelVariant::kAvx2;
-#endif
-#if SDB_HAVE_NEON
-  if (fn == &detail::strip_neon) return KernelVariant::kNeon;
-#endif
-  (void)fn;
+  for (const KernelVariant v : detail::kVectorVariants) {
+    const std::optional<detail::Kernels> k = detail::kernels_of(v);
+    if (k && k->strip == fn) return v;
+  }
   return KernelVariant::kScalar;
 }
 

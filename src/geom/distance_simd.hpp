@@ -1,10 +1,19 @@
-// Runtime-dispatched SIMD distance kernels over the strip-transposed (SoA)
-// coordinate layout.
+// Runtime-dispatched SIMD distance kernels: three families behind one
+// dispatcher.
 //
 // The broadcast kd-tree's eps-range leaf scan is the hottest loop in the
 // whole system, and the GPU DBSCAN literature (Prokopenko et al.; Wang et
 // al.) shows the winning idiom: coalesced structure-of-arrays accesses and
-// divergence-free inner loops. This header ports that idiom to SIMD lanes.
+// divergence-free inner loops. The layout must match the access pattern, so
+// each family reads the layout its caller already has:
+//   strip kernel — float32 candidates in a strip-transposed (SoA) block,
+//                  for the kd-tree leaves and brute force, whose candidates
+//                  are contiguous;
+//   box kernel   — a strip block of double queries against one kd-tree
+//                  node box, for the batched tree walk;
+//   row kernel   — one double query row against up to kDistanceStrip double
+//                  rows given by pointer, for the kNN builders, whose
+//                  candidates are scattered by id (row-major access).
 //
 // Layout contract (the "strip" layout): candidate points are stored as
 // float32 in blocks of kDistanceStrip lanes. Within a block, coordinates are
@@ -15,9 +24,9 @@
 // by global position: position i lives in block i / kDistanceStrip at lane
 // i % kDistanceStrip. A stored coordinate is float(p[d] - c[d]) for an
 // origin c chosen by the owner of the strip (the kd-tree: its leaf's box
-// centre; brute force: the data's box centre; the kNN builders: the query
-// row itself), and the query is converted the same way, so the float
-// magnitudes are the leaf extent, not the data's offset from zero.
+// centre; brute force: the data's box centre), and the query is converted
+// the same way, so the float magnitudes are the leaf extent, not the data's
+// offset from zero.
 //
 // Tile kernel: one call scans ONE whole block for up to kStripTile queries,
 // so every strip row it loads serves several queries. `active` selects the
@@ -39,10 +48,22 @@
 // thresholds report !usable and the caller decides every lane by the
 // recheck: slow, but exact.
 //
+// Row kernel: the terms (p[d] - q[d])^2 are formed in double exactly as
+// squared_distance_uncounted forms them (unfused subtract, then multiply),
+// so only the ORDER of the sum differs (a variant sums vector lanes, then
+// reduces them). Every summation order of the same non-negative terms lies
+// within gamma = (dim-1)u / (1 - (dim-1)u) of their exact sum (u = 2^-53),
+// so a row the ascending-d loop puts at <= tau has a kernel sum
+// <= row_maybe_le(tau, dim) = tau (1 + gamma) / (1 - gamma), rounded up
+// (DESIGN.md §14). The row mask is a superset of the rows at <= tau; the
+// caller rechecks its rows with the double loop. NaN sums are never in the
+// mask; a tau the bound does not cover (not finite, above DBL_MAX / 2)
+// makes row_maybe_le return +inf, and the caller takes every row.
+//
 // FMA contraction is still not used: -ffp-contract=off is pinned
 // PROJECT-WIDE (top-level CMakeLists), because the double recheck and the
 // box test must stay the unfused ascending-d loops every decision is
-// defined by.
+// defined by, and the row kernel's terms must be the recheck's terms.
 //
 // Abandonment: a kernel MAY stop fetching further dimension rows once every
 // active lane of every query in the tile has a partial sum above maybe_le.
@@ -120,6 +141,24 @@ using BoxKernelFn = std::uint32_t (*)(const double* qs, size_t dim,
                                       double eps2, const double* box,
                                       std::uint32_t active);
 
+/// fn(q, rows, count, dim, maybe_le) -> mask: the row kernel.
+///   bit l of the result (l < count) is set iff the variant's sum over d of
+///   (rows[l][d] - q[d])^2 is <= maybe_le, each term formed unfused in
+///   double exactly as squared_distance_uncounted forms it; the sum may be
+///   taken in any order (the row-kernel contract above bounds it).
+/// 1 <= count <= kDistanceStrip; `q` and every rows[l] hold `dim` readable
+/// doubles (NaN and infinities included: a NaN sum is never in the mask).
+/// `maybe_le` comes from row_maybe_le and is finite.
+using RowKernelFn = std::uint32_t (*)(const double* q,
+                                      const double* const* rows, size_t count,
+                                      size_t dim, double maybe_le);
+
+/// The row kernel's cutoff for a double cutoff `tau`: tau (1 + gamma) /
+/// (1 - gamma) rounded up, gamma = (dim - 1) u / (1 - (dim - 1) u). +inf
+/// when the bound does not hold (tau not finite or above DBL_MAX / 2): the
+/// caller then takes every row.
+[[nodiscard]] double row_maybe_le(double tau, size_t dim);
+
 /// The float thresholds of one eps test (see the decision contract).
 struct StripThresholds {
   float sure_le = 0.0f;
@@ -135,8 +174,7 @@ class StripSlack {
  public:
   StripSlack(double eps2, size_t dim);
   /// Thresholds for strips whose stored coordinates satisfy
-  /// |p[d] - c[d]| <= h[d] with half_extent >= ||h||_2 (0 for the
-  /// query-relative form, where the origin is the query row itself).
+  /// |p[d] - c[d]| <= h[d] with half_extent >= ||h||_2.
   [[nodiscard]] StripThresholds at(double half_extent) const;
 
  private:
@@ -157,6 +195,7 @@ namespace detail {
 /// are benign.
 extern std::atomic<StripKernelFn> g_strip;
 extern std::atomic<BoxKernelFn> g_box;
+extern std::atomic<RowKernelFn> g_row;
 
 /// Scalar reference implementations — always built.
 void strip_scalar(const float* qs, size_t nq, size_t dim, float sure_le,
@@ -164,9 +203,11 @@ void strip_scalar(const float* qs, size_t nq, size_t dim, float sure_le,
                   StripMasks* out);
 std::uint32_t box_scalar(const double* qs, size_t dim, double eps2,
                          const double* box, std::uint32_t active);
+std::uint32_t row_scalar(const double* q, const double* const* rows,
+                         size_t count, size_t dim, double maybe_le);
 
 /// CPU detection + SDB_SIMD env + force_scalar() -> best variant. Stores
-/// its kernels in g_strip and g_box.
+/// its kernels in g_strip, g_box and g_row.
 void resolve();
 
 /// The active strip kernel (resolving on first use). Fetch once per query
@@ -185,6 +226,19 @@ inline BoxKernelFn box_kernel() {
   resolve();
   return g_box.load(std::memory_order_relaxed);
 }
+
+/// The active row kernel, from the same variant as strip_kernel().
+inline RowKernelFn row_kernel() {
+  RowKernelFn fn = g_row.load(std::memory_order_relaxed);
+  if (fn != nullptr) return fn;
+  resolve();
+  return g_row.load(std::memory_order_relaxed);
+}
+
+/// Test hook: variant `v`'s own row kernel when it is compiled in and this
+/// CPU runs it, else null — so a test can reach a variant the dispatcher
+/// does not pick on this host (AVX2 beside AVX-512).
+[[nodiscard]] RowKernelFn row_kernel_of(KernelVariant v);
 
 /// Abandonment probe schedule shared by every vector kernel: probe after
 /// dimension `d` iff this returns true. Dense early (every 2nd dim through

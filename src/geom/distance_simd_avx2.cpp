@@ -14,6 +14,12 @@
 // The box kernel (box_avx2) tests a 32-lane double query block against one
 // kd-tree node box in eight 4-wide groups, same no-FMA rule.
 //
+// The row kernel (row_avx2) walks four candidate rows at a time, four
+// dimensions per ymm step (the tail under a maskload, whose masked lanes
+// read as zero and add exact zero terms), one accumulator per row, and
+// reduces each row's lanes at the end — the ascending-d loop's terms in
+// another order, which the row-kernel bound covers.
+//
 // Only selected when __builtin_cpu_supports("avx2") at dispatch time, so
 // building this TU on any x86-64 toolchain is safe even for older hosts.
 #include "geom/distance_simd.hpp"
@@ -110,7 +116,60 @@ inline __m256d box_group_init(std::uint32_t bits) {
       _mm256_setzero_pd(), _mm256_castsi256_pd(on));
 }
 
+/// Sum of the four lanes of `v`.
+inline double lane_sum(__m256d v) {
+  const __m128d pair = _mm_add_pd(_mm256_castpd256_pd128(v),
+                                  _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(_mm_add_sd(pair, _mm_unpackhi_pd(pair, pair)));
+}
+
+/// The mask bits of R consecutive rows: one accumulator per row over the
+/// whole dimension walk, its lanes reduced at the end.
+template <size_t R>
+inline std::uint32_t rows_avx2(const double* q, const double* const* rows,
+                               size_t dim, double maybe_le) {
+  __m256d acc[R];
+  for (size_t r = 0; r < R; ++r) acc[r] = _mm256_setzero_pd();
+  size_t d = 0;
+  for (; d + 4 <= dim; d += 4) {
+    const __m256d vq = _mm256_loadu_pd(q + d);
+    for (size_t r = 0; r < R; ++r) {
+      const __m256d diff = _mm256_sub_pd(vq, _mm256_loadu_pd(rows[r] + d));
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(diff, diff));
+    }
+  }
+  if (d < dim) {
+    const auto rem = static_cast<long long>(dim - d);
+    const __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(rem),
+                                            _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256d vq = _mm256_maskload_pd(q + d, tail);
+    for (size_t r = 0; r < R; ++r) {
+      const __m256d diff =
+          _mm256_sub_pd(vq, _mm256_maskload_pd(rows[r] + d, tail));
+      acc[r] = _mm256_add_pd(acc[r], _mm256_mul_pd(diff, diff));
+    }
+  }
+  std::uint32_t mask = 0;
+  for (size_t r = 0; r < R; ++r) {
+    if (lane_sum(acc[r]) <= maybe_le) mask |= 1u << r;
+  }
+  return mask;
+}
+
 }  // namespace
+
+std::uint32_t row_avx2(const double* q, const double* const* rows,
+                       size_t count, size_t dim, double maybe_le) {
+  std::uint32_t mask = 0;
+  size_t l = 0;
+  for (; l + 4 <= count; l += 4) {
+    mask |= rows_avx2<4>(q, rows + l, dim, maybe_le) << l;
+  }
+  for (; l < count; ++l) {
+    mask |= rows_avx2<1>(q, rows + l, dim, maybe_le) << l;
+  }
+  return mask;
+}
 
 std::uint32_t box_avx2(const double* qs, size_t dim, double eps2,
                        const double* box, std::uint32_t active) {

@@ -12,6 +12,12 @@
 // The box kernel (box_avx512) tests a 32-lane double query block against
 // one kd-tree node box with four 8-wide accumulators.
 //
+// The row kernel (row_avx512) walks four candidate rows at a time, eight
+// dimensions per zmm step (the tail under a load mask, whose zeroed lanes
+// add exact zero terms), one accumulator per row, and reduces each row's
+// lanes at the end: the same double terms as the ascending-d loop, summed
+// in another order, which the row-kernel bound covers.
+//
 // Only selected when __builtin_cpu_supports("avx512f") at dispatch time,
 // so building this TU on any x86-64 toolchain is safe for older hosts.
 #include "geom/distance_simd.hpp"
@@ -82,7 +88,51 @@ inline void strip_tile_avx512(const float* qs, size_t dim, float sure_le,
   }
 }
 
+/// The mask bits of R consecutive rows: one accumulator per row over the
+/// whole dimension walk, its lanes reduced at the end.
+template <size_t R>
+inline std::uint32_t rows_avx512(const double* q, const double* const* rows,
+                                 size_t dim, double maybe_le) {
+  __m512d acc[R];
+  for (size_t r = 0; r < R; ++r) acc[r] = _mm512_setzero_pd();
+  size_t d = 0;
+  for (; d + 8 <= dim; d += 8) {
+    const __m512d vq = _mm512_loadu_pd(q + d);
+    for (size_t r = 0; r < R; ++r) {
+      const __m512d diff = _mm512_sub_pd(vq, _mm512_loadu_pd(rows[r] + d));
+      acc[r] = _mm512_add_pd(acc[r], _mm512_mul_pd(diff, diff));
+    }
+  }
+  if (d < dim) {
+    const auto tail = static_cast<__mmask8>((1u << (dim - d)) - 1);
+    const __m512d vq = _mm512_maskz_loadu_pd(tail, q + d);
+    for (size_t r = 0; r < R; ++r) {
+      const __m512d diff =
+          _mm512_sub_pd(vq, _mm512_maskz_loadu_pd(tail, rows[r] + d));
+      acc[r] = _mm512_add_pd(acc[r], _mm512_mul_pd(diff, diff));
+    }
+  }
+  std::uint32_t mask = 0;
+  for (size_t r = 0; r < R; ++r) {
+    if (_mm512_reduce_add_pd(acc[r]) <= maybe_le) mask |= 1u << r;
+  }
+  return mask;
+}
+
 }  // namespace
+
+std::uint32_t row_avx512(const double* q, const double* const* rows,
+                         size_t count, size_t dim, double maybe_le) {
+  std::uint32_t mask = 0;
+  size_t l = 0;
+  for (; l + 4 <= count; l += 4) {
+    mask |= rows_avx512<4>(q, rows + l, dim, maybe_le) << l;
+  }
+  for (; l < count; ++l) {
+    mask |= rows_avx512<1>(q, rows + l, dim, maybe_le) << l;
+  }
+  return mask;
+}
 
 void strip_avx512(const float* qs, size_t nq, size_t dim, float sure_le,
                   float maybe_le, const float* block, std::uint32_t active,

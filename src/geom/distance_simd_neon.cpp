@@ -1,10 +1,17 @@
-// NEON (aarch64) strip kernel. Same contract as the x86 variants: float
-// sums of unfused multiply + add (-ffp-contract=off, and no vfma
-// intrinsics), compare-based abandonment once every active lane exceeds
-// maybe_le. A 32-lane block is eight float32x4_t rows per dimension; the
-// tile's queries are scanned one after another (eight accumulators each),
-// so the block stays in L1 across the tile. The box kernel takes the scalar
-// path on aarch64.
+// NEON (aarch64) strip and row kernels. Same contract as the x86 variants:
+// unfused multiply + add (-ffp-contract=off, and no vfma intrinsics).
+//
+// Strip kernel: float sums, compare-based abandonment once every active
+// lane exceeds maybe_le. A 32-lane block is eight float32x4_t rows per
+// dimension; the tile's queries are scanned one after another (eight
+// accumulators each), so the block stays in L1 across the tile.
+//
+// Row kernel: the scalar loop's double terms, two dimensions per
+// float64x2_t step with one accumulator per row (four rows at a time), an
+// odd last dimension added on its own, and the two lanes reduced at the
+// end — another summation order, which the row-kernel bound covers.
+//
+// The box kernel takes the scalar path on aarch64.
 #include "geom/distance_simd.hpp"
 
 #if defined(__aarch64__) || defined(__ARM_NEON)
@@ -23,7 +30,47 @@ inline std::uint32_t lane_bits(uint32x4_t cmp) {
   return vaddvq_u32(vandq_u32(cmp, weights));
 }
 
+/// The mask bits of R consecutive rows: one two-lane accumulator per row
+/// over the whole dimension walk, reduced at the end.
+template <size_t R>
+inline std::uint32_t rows_neon(const double* q, const double* const* rows,
+                               size_t dim, double maybe_le) {
+  float64x2_t acc[R];
+  for (size_t r = 0; r < R; ++r) acc[r] = vdupq_n_f64(0.0);
+  size_t d = 0;
+  for (; d + 2 <= dim; d += 2) {
+    const float64x2_t vq = vld1q_f64(q + d);
+    for (size_t r = 0; r < R; ++r) {
+      const float64x2_t diff = vsubq_f64(vq, vld1q_f64(rows[r] + d));
+      acc[r] = vaddq_f64(acc[r], vmulq_f64(diff, diff));
+    }
+  }
+  std::uint32_t mask = 0;
+  for (size_t r = 0; r < R; ++r) {
+    double s = vaddvq_f64(acc[r]);
+    if (d < dim) {
+      const double diff = q[d] - rows[r][d];
+      s += diff * diff;
+    }
+    if (s <= maybe_le) mask |= 1u << r;
+  }
+  return mask;
+}
+
 }  // namespace
+
+std::uint32_t row_neon(const double* q, const double* const* rows,
+                       size_t count, size_t dim, double maybe_le) {
+  std::uint32_t mask = 0;
+  size_t l = 0;
+  for (; l + 4 <= count; l += 4) {
+    mask |= rows_neon<4>(q, rows + l, dim, maybe_le) << l;
+  }
+  for (; l < count; ++l) {
+    mask |= rows_neon<1>(q, rows + l, dim, maybe_le) << l;
+  }
+  return mask;
+}
 
 void strip_neon(const float* qs, size_t nq, size_t dim, float sure_le,
                 float maybe_le, const float* block, std::uint32_t active,

@@ -127,63 +127,39 @@ u64 fold_tallies(std::vector<ChunkTally>& tally, KnnGraphBuildStats& stats) {
   return updates;
 }
 
-/// Kernel filter of one block of `count` candidate rows (ids from `id(l)`)
-/// against a full row's worst d2 `tau`. Each row is transposed as
-/// float(p - q) — the query-relative form of DESIGN.md §14, whose slack has
-/// no extent term — into `strip`, and the kernel scans it with the zero
-/// query `origin`. Returns the maybe lanes: a superset of the rows whose
-/// double d2 is <= tau (every row when the thresholds are unusable), which
-/// the caller rechecks.
-template <typename IdFn>
-u32 filter_block(simd::StripKernelFn kernel, const PointSet& points,
-                 std::span<const double> q, double tau, size_t count,
-                 IdFn&& id, float* strip, const float* origin) {
-  const u32 all = strip_lanes(0, count);
-  const simd::StripThresholds th =
-      simd::StripSlack(tau, q.size()).at(0.0);
-  if (!th.usable) return all;
-  for (size_t l = 0; l < count; ++l) {
-    strip_relative(points[id(l)], q.data(), strip + l, kDistanceStrip);
-  }
-  simd::StripMasks m;
-  kernel(origin, 1, q.size(), th.sure_le, th.maybe_le, strip, all, &m);
-  return m.maybe;
-}
-
 /// Exact rows: brute-force scan per point in blocks of kDistanceStrip
-/// rows, filtered by the kernel against the row's worst d2 once the row is
-/// full (the kd-tree knn idiom — see KdTree::knn_query). One distance_eval
-/// per candidate row examined (n-1 per point: self excluded); exact_evals
-/// counts the candidates offered to the row with their double d2.
+/// consecutive rows, filtered by the row kernel against the row's worst d2
+/// once the row is full (the kd-tree knn idiom — see KdTree::knn_query).
+/// One distance_eval per candidate row examined (n-1 per point: self
+/// excluded); exact_evals counts the candidates offered to the row with
+/// their double d2.
 void build_exact(const PointSet& points, const KnnGraphConfig& cfg,
                  KnnGraph& graph, KnnGraphBuildStats& stats) {
   const size_t n = points.size();
-  const size_t dim = static_cast<size_t>(points.dim());
-  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
+  const simd::RowKernelFn kernel = simd::detail::row_kernel();
   const unsigned threads = resolve_threads(cfg.threads, n);
 
   std::vector<ChunkTally> tally(threads * 4 + 1);
   parallel_chunks(n, threads, [&](size_t begin, size_t end, size_t chunk) {
     RowHeap row;
     u64 exact = 0;
-    std::vector<float> strip(kDistanceStrip * dim, 0.0f);
-    const std::vector<float> origin(dim, 0.0f);
+    std::array<const double*, kDistanceStrip> rows{};
     for (size_t p = begin; p < end; ++p) {
       const std::span<const double> q = points[static_cast<PointId>(p)];
       row.cap = cfg.k;
       for (size_t base = 0; base < n; base += kDistanceStrip) {
         const size_t m = std::min(kDistanceStrip, n - base);
         // A full row only admits rows with d2 <= its (finite) worst: the
-        // kernel's maybe lanes hold all of them, the recheck drops the rest.
+        // kernel's mask holds all of them, the recheck drops the rest.
         const bool full = row.full() && std::isfinite(row.worst());
         const double tau = full ? row.worst() : 0.0;
-        u32 mask = full ? filter_block(
-                              kernel, points, q, tau, m,
-                              [&](size_t l) {
-                                return static_cast<PointId>(base + l);
-                              },
-                              strip.data(), origin.data())
-                        : strip_lanes(0, m);
+        u32 mask = strip_lanes(0, m);
+        if (full) {
+          for (size_t l = 0; l < m; ++l) {
+            rows[l] = points[static_cast<PointId>(base + l)].data();
+          }
+          mask = row_filter(kernel, q, rows.data(), m, tau);
+        }
         for (; mask != 0; mask &= mask - 1) {
           const auto id = static_cast<PointId>(base + std::countr_zero(mask));
           if (id == static_cast<PointId>(p)) continue;
@@ -302,11 +278,10 @@ class CandidateSet {
 void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
                    KnnGraph& graph, KnnGraphBuildStats& stats) {
   const size_t n = points.size();
-  const size_t dim = static_cast<size_t>(points.dim());
   const u32 k = cfg.k;
   const unsigned threads = resolve_threads(cfg.threads, n);
   const u64 init_seed = derive_seed(cfg.seed, "knn.init");
-  const simd::StripKernelFn kernel = simd::detail::strip_kernel();
+  const simd::RowKernelFn kernel = simd::detail::row_kernel();
 
   // Per-slot new/old bits for the incremental local join (Dong et al.): a
   // slot is "new" until the round that exploits it as a join pivot, and a
@@ -403,11 +378,9 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
       // B(t): sampled fwd + rev neighbors, each with its edge's new bit.
       std::vector<std::pair<PointId, unsigned char>> bucket;
       CandidateSet candidates(n);
-      // One join block: queued candidate ids and their rows transposed
-      // (relative to the query row) into one strip for the kernel.
+      // One join block: queued candidate ids and their rows.
       std::array<PointId, kDistanceStrip> block{};
-      std::vector<float> strip(kDistanceStrip * dim, 0.0f);
-      const std::vector<float> origin(dim, 0.0f);
+      std::array<const double*, kDistanceStrip> rows{};
       for (size_t t = begin; t < end; ++t) {
         const auto tid = static_cast<PointId>(t);
         bucket.clear();
@@ -450,20 +423,17 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
         const auto flags = row_flags(t);
         size_t queued = 0;
         // Evaluate the queued block. A full row filters it through the
-        // strip kernel with its worst d2 at block start as the cutoff: the
+        // row kernel with its worst d2 at block start as the cutoff: the
         // row only improves while the block is applied, so every candidate
         // row_insert could accept has a double d2 <= that cutoff and is in
-        // the kernel's maybe mask. Survivors get the exact distance; those
-        // above the cutoff are dropped uncounted (row_insert would reject
-        // them), the rest meet row_insert's worst-slot check against the
-        // row as it is now.
+        // the kernel's mask. Survivors get the exact distance; those above
+        // the cutoff are dropped uncounted (row_insert would reject them),
+        // the rest meet row_insert's worst-slot check against the row as it
+        // is now.
         const auto flush = [&] {
           const bool full = ids[k - 1] != kNoNeighbor;
           const double tau = full ? d2s[k - 1] : 0.0;
-          u32 mask = full ? filter_block(
-                                kernel, points, q, tau, queued,
-                                [&](size_t l) { return block[l]; },
-                                strip.data(), origin.data())
+          u32 mask = full ? row_filter(kernel, q, rows.data(), queued, tau)
                           : strip_lanes(0, queued);
           for (; mask != 0; mask &= mask - 1) {
             const PointId c =
@@ -489,7 +459,9 @@ void build_descent(const PointSet& points, const KnnGraphConfig& cfg,
           // One eval is charged per candidate examined, filtered or not —
           // the unified counter contract.
           ++tl.evals;
-          prefetch_row(points[c]);
+          const std::span<const double> row = points[c];
+          prefetch_row(row);
+          rows[queued] = row.data();
           block[queued++] = c;
           if (queued == kDistanceStrip) flush();
         });

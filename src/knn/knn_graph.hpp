@@ -14,12 +14,12 @@
 // Graph layout: flat rows of k slots per point — neighbor_ids / neighbor_d2
 // — each row sorted ascending by (d2, id) with kNoNeighbor padding. Rows
 // never contain the point itself. Both builders filter candidates through
-// the runtime-dispatched SIMD strip kernels of the spatial indexes
-// (distance_simd.hpp) with the row's worst distance as the cutoff — the
-// kd-tree leaf scan's kNN idiom. The exact build streams a strip-transposed
-// copy of all points; the descent join transposes each block of 32 gathered
-// candidates into a small strip first. Survivors get the scalar reference
-// distance, so graph distances are bit-identical on every host.
+// the runtime-dispatched SIMD row kernel (distance_simd.hpp) with the row's
+// worst distance as the cutoff — the kd-tree leaf scan's kNN idiom. The
+// kernel reads blocks of up to 32 double rows where they lie, by pointer:
+// consecutive points for the exact build, gathered candidates for the
+// descent join. Survivors get the scalar reference distance, so graph
+// distances are bit-identical on every host.
 //
 // Determinism: both builders are bit-deterministic for a given (points,
 // config) INCLUDING config.threads — exact rows are independent per point,
@@ -144,9 +144,11 @@ struct KnnGraphBuildStats {
   /// Descent: join pairs gathered before dedup (0 for exact). Against the
   /// join's share of distance_evals this is the dedup's waste.
   u64 candidates = 0;
-  /// Evaluated pairs that got a full squared distance: strip-kernel
-  /// survivors, plus pairs evaluated against a short row (no cutoff yet).
-  /// Against distance_evals this is the kernel filter's yield.
+  /// Evaluated pairs that got a full squared distance at or below the
+  /// row's cutoff (the row kernel's mask, rechecked in double), plus pairs
+  /// evaluated against a short row (no cutoff yet). Against
+  /// distance_evals this is the kernel filter's yield; it does not depend
+  /// on the kernel variant.
   u64 exact_evals = 0;
 };
 

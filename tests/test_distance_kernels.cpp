@@ -18,8 +18,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "core/dbscan_seq.hpp"
@@ -676,6 +678,207 @@ TEST(KnnKernelFilter, HighDimAndTiesMatchScalarAndBruteOracle) {
       EXPECT_EQ(hits, oracle) << "scalar k=" << k << " q=" << q;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Row kernel: one double query row against up to 32 double rows given by
+// pointer (the kNN builders' filter). Its mask must hold every row the
+// ascending-d loop puts at <= tau, keep NaN sums out, and stay tight: a row
+// in the mask is within the bound of tau. Runs on the dispatched kernel,
+// the scalar kernel and every other variant this CPU runs, called directly
+// (dispatch picks AVX-512 over AVX2 on an AVX-512 host).
+// ---------------------------------------------------------------------------
+
+/// The row kernels under test, named for the failure messages.
+std::vector<std::pair<const char*, simd::RowKernelFn>> row_kernels() {
+  std::vector<std::pair<const char*, simd::RowKernelFn>> out = {
+      {"dispatched", simd::detail::row_kernel()},
+      {"scalar", &simd::detail::row_scalar}};
+  for (const simd::KernelVariant v :
+       {simd::KernelVariant::kAvx2, simd::KernelVariant::kAvx512,
+        simd::KernelVariant::kNeon}) {
+    if (const simd::RowKernelFn fn = simd::detail::row_kernel_of(v)) {
+      out.emplace_back(simd::variant_name(v), fn);
+    }
+  }
+  return out;
+}
+
+/// Every kernel, every count 1..rows.size() (the first `count` rows): the
+/// mask holds each row the double loop puts at <= tau, has no bit at or
+/// past `count`, no NaN-sum row, and (when the bound covers tau) no row
+/// beyond the bound applied twice.
+void check_row_masks(const std::vector<double>& q, const Rows& rows,
+                     double tau) {
+  const size_t dim = q.size();
+  std::vector<const double*> ptrs;
+  for (const auto& r : rows) ptrs.push_back(r.data());
+  std::vector<double> d2s;
+  for (const auto& r : rows) d2s.push_back(squared_distance_uncounted(q, r));
+  const double maybe_le = simd::row_maybe_le(tau, dim);
+  const double outer = simd::row_maybe_le(maybe_le, dim);
+  for (const auto& [name, kernel] : row_kernels()) {
+    for (size_t count = 1; count <= rows.size(); ++count) {
+      const u32 mask = row_filter(kernel, q, ptrs.data(), count, tau);
+      EXPECT_EQ(mask & ~strip_lanes(0, count), 0u)
+          << name << " dim=" << dim << " count=" << count;
+      for (size_t l = 0; l < count; ++l) {
+        const double d2 = d2s[l];
+        const bool in = (mask >> l) & 1u;
+        if (d2 <= tau) {
+          EXPECT_TRUE(in) << name << ": row the double loop puts at <= tau "
+                          << "is missing; dim=" << dim << " count=" << count
+                          << " row=" << l << " d2=" << d2 << " tau=" << tau;
+        }
+        if (maybe_le == INFINITY) {
+          EXPECT_TRUE(in) << name << ": tau outside the bound must admit "
+                          << "every row; tau=" << tau;
+        } else if (in) {
+          EXPECT_FALSE(std::isnan(d2))
+              << name << ": NaN sum in the mask; dim=" << dim << " row=" << l;
+          EXPECT_LE(d2, outer) << name << ": row beyond the bound; dim="
+                               << dim << " row=" << l << " tau=" << tau;
+        }
+      }
+    }
+  }
+}
+
+/// 32 rows around `q`: row l differs from q in a dimension subset scaled by
+/// `scale`, so the d2 values spread over a few orders of magnitude and
+/// several rows tie.
+Rows rows_around(const std::vector<double>& q, double scale, u64 seed) {
+  Rng rng(seed);
+  Rows rows(kDistanceStrip, q);
+  for (size_t l = 0; l < rows.size(); ++l) {
+    for (size_t d = 0; d < q.size(); ++d) {
+      if (l % 7 == 3) continue;  // some rows are copies of q (d2 == 0)
+      rows[l][d] += scale * rng.uniform(-1.0, 1.0) * static_cast<double>(l);
+    }
+  }
+  rows[kDistanceStrip - 1] = rows[5];  // an exact duplicate row
+  return rows;
+}
+
+std::vector<double> query_row(size_t dim, double offset, u64 seed) {
+  Rng rng(seed);
+  std::vector<double> q(dim);
+  for (double& x : q) x = offset + rng.uniform(-1.0, 1.0);
+  return q;
+}
+
+class RowKernelContract : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(RowKernelContract, TauAtEachRowsExactD2AndOneUlpEitherSide) {
+  const size_t dim = GetParam();
+  for (const double offset : {0.0, 1e6}) {
+    const std::vector<double> q = query_row(dim, offset, 40 + dim);
+    const Rows rows = rows_around(q, 0.37, 41 + dim);
+    for (const auto& pivot : rows) {
+      const double d2 = squared_distance_uncounted(q, pivot);
+      for (const double tau :
+           {d2, std::nextafter(d2, 0.0), std::nextafter(d2, INFINITY)}) {
+        check_row_masks(q, rows, tau);
+      }
+    }
+    check_row_masks(q, rows, 0.0);
+  }
+}
+
+TEST_P(RowKernelContract, NanAndInfiniteCoordinates) {
+  const size_t dim = GetParam();
+  const std::vector<double> q = query_row(dim, 0.0, 50 + dim);
+  Rows rows = rows_around(q, 0.5, 51 + dim);
+  // Poison a spread of rows in their first, middle and last dimension.
+  rows[1][0] = NAN;
+  rows[4][dim / 2] = INFINITY;
+  rows[9][dim - 1] = -INFINITY;
+  rows[12][0] = INFINITY;
+  rows[12][dim - 1] = -INFINITY;
+  rows[20][dim / 2] = -NAN;
+  const double tau = squared_distance_uncounted(q, rows[17]);
+  check_row_masks(q, rows, tau);
+  check_row_masks(q, rows, INFINITY);
+  check_row_masks(q, rows, NAN);
+  // An infinite query coordinate: rows infinite there too give inf - inf.
+  std::vector<double> qi = q;
+  qi[dim - 1] = INFINITY;
+  check_row_masks(qi, rows, tau);
+}
+
+TEST_P(RowKernelContract, HugeRowsWhoseSumsOverflow) {
+  const size_t dim = GetParam();
+  const std::vector<double> q(dim, 0.0);
+  Rows rows(kDistanceStrip, q);
+  for (size_t l = 0; l < rows.size(); ++l) {
+    // Row l holds +-1e150 in its first (l % 5) dimensions: a sum of up to
+    // four 1e300 terms, plus rows at 1e154 whose first term alone
+    // overflows to +inf.
+    for (size_t d = 0; d < std::min(dim, l % 5); ++d) {
+      rows[l][d] = (d % 2 == 0 ? 1e150 : -1e150);
+    }
+    if (l % 11 == 10) rows[l][dim - 1] = 1e154;
+  }
+  for (const double tau : {0.0, 1e300, 2e300, 3e300, 4e300, DBL_MAX / 2,
+                           std::nextafter(DBL_MAX / 2, INFINITY), DBL_MAX}) {
+    check_row_masks(q, rows, tau);
+  }
+  for (const auto& pivot : rows) {
+    const double d2 = squared_distance_uncounted(q, pivot);
+    check_row_masks(q, rows, d2);
+    check_row_masks(q, rows, std::nextafter(d2, 0.0));
+  }
+}
+
+TEST_P(RowKernelContract, SubnormalDifferences) {
+  const size_t dim = GetParam();
+  for (const double scale : {1e-160, 1e-310}) {
+    // Differences of 1e-160 square into the subnormal range; differences
+    // of 1e-310 are subnormal themselves and square to zero.
+    const std::vector<double> q = query_row(dim, 0.0, 60 + dim);
+    Rows rows(kDistanceStrip, q);
+    Rng rng(61 + dim);
+    for (size_t l = 0; l < rows.size(); ++l) {
+      for (size_t d = 0; d < dim; ++d) {
+        rows[l][d] = scale * rng.uniform(-4.0, 4.0) * static_cast<double>(l);
+      }
+    }
+    const std::vector<double> zero(dim, 0.0);
+    for (const std::vector<double>& qq : {zero, rows[3]}) {
+      for (const auto& pivot : rows) {
+        const double d2 = squared_distance_uncounted(qq, pivot);
+        for (const double tau :
+             {d2, std::nextafter(d2, 0.0), std::nextafter(d2, INFINITY)}) {
+          check_row_masks(qq, rows, tau);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Dims, RowKernelContract,
+                         ::testing::Values<size_t>(1, 2, 3, 7, 8, 9, 17, 63,
+                                                   64, 65, 128));
+
+TEST(RowKernelBound, MaybeLeBound) {
+  // tau (1 + gamma) / (1 - gamma) = tau / (1 - 2 (dim - 1) u), rounded up.
+  EXPECT_EQ(simd::row_maybe_le(1.0, 1), std::nextafter(1.0, 2.0));
+  EXPECT_GE(simd::row_maybe_le(1.0, 64), 1.0 + 126 * 0x1p-53);
+  EXPECT_LE(simd::row_maybe_le(1.0, 64), 1.0 + 130 * 0x1p-53);
+  EXPECT_GT(simd::row_maybe_le(0.0, 64), 0.0);
+  EXPECT_EQ(simd::row_maybe_le(INFINITY, 8), INFINITY);
+  EXPECT_EQ(simd::row_maybe_le(NAN, 8), INFINITY);
+  EXPECT_EQ(simd::row_maybe_le(DBL_MAX, 8), INFINITY);
+  EXPECT_LT(simd::row_maybe_le(DBL_MAX / 2, 8), INFINITY);
+}
+
+TEST(RowKernelBound, EveryCompiledVariantIsReachable) {
+  // The dispatched row kernel is one of the variants row_kernel_of hands
+  // out, and the scalar one always is.
+  EXPECT_EQ(simd::detail::row_kernel_of(simd::KernelVariant::kScalar),
+            &simd::detail::row_scalar);
+  EXPECT_EQ(simd::detail::row_kernel(),
+            simd::detail::row_kernel_of(simd::active_variant()));
 }
 
 // ---------------------------------------------------------------------------

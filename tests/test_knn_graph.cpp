@@ -1,7 +1,7 @@
 // kNN graph builder contract (knn/knn_graph.hpp): exact rows against the
 // brute-force oracle, NN-descent recall against exact rows, bit-determinism
-// across thread counts, and self-healing under the knn.graph.drop_edge
-// chaos site.
+// across thread counts and row-kernel variants, and self-healing under the
+// knn.graph.drop_edge chaos site.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "geom/distance.hpp"
+#include "geom/distance_simd.hpp"
 #include "knn/knn_graph.hpp"
 #include "synth/generators.hpp"
 #include "util/counters.hpp"
@@ -202,6 +203,40 @@ TEST(KnnGraphDescent, BitDeterministicAcrossThreadCounts) {
       EXPECT_EQ(stats.exact_evals, base_stats.exact_evals);
       EXPECT_EQ(stats.rounds, base_stats.rounds);
       EXPECT_EQ(stats.updates, base_stats.updates);
+    }
+  }
+}
+
+TEST(KnnGraphKernels, ScalarAndDispatchedRowKernelsBuildTheSameGraph) {
+  // Both builders filter candidates through the row kernel and recheck its
+  // mask in double, so the kernel variant must not show in the graph or in
+  // any counter. d=37 is no multiple of any vector width (every variant
+  // takes its tail path); n reaches the 4096-point parallel threshold.
+  for (const int dim : {64, 37}) {
+    const PointSet ps = embedding_fixture(4096, dim, 70 + dim);
+    for (const auto build :
+         {KnnGraphConfig::Build::kExact, KnnGraphConfig::Build::kDescent}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " build=" + std::to_string(static_cast<int>(build)));
+      KnnGraphConfig cfg;
+      cfg.k = 16;
+      cfg.build = build;
+      cfg.threads = 4;
+      KnnGraphBuildStats dispatched;
+      const u64 want = build_knn_graph(ps, cfg, &dispatched).digest();
+      simd::force_scalar(true);
+      KnnGraphBuildStats scalar;
+      const u64 got = build_knn_graph(ps, cfg, &scalar).digest();
+      simd::force_scalar(false);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(scalar.rounds, dispatched.rounds);
+      EXPECT_EQ(scalar.updates, dispatched.updates);
+      EXPECT_EQ(scalar.distance_evals, dispatched.distance_evals);
+      EXPECT_EQ(scalar.dropped_edges, dispatched.dropped_edges);
+      EXPECT_EQ(scalar.candidates, dispatched.candidates);
+      EXPECT_EQ(scalar.exact_evals, dispatched.exact_evals);
+      // The filter did filter: a full row rejects most candidates.
+      EXPECT_LT(dispatched.exact_evals, dispatched.distance_evals / 2);
     }
   }
 }
